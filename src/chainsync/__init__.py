@@ -12,7 +12,6 @@ from .dynamics import (
     mean_energy,
     propagator,
     reduce,
-    rk4_reference,
     squeezed_vacuum_local,
     symplectic_defect,
     symplectic_form,

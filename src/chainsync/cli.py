@@ -12,9 +12,9 @@ import sys
 from .errors import ConfigError, InstabilityError, UnknownKey
 from .lattice import assemble_full_potential, check_stability
 from .scenarios import (
+    DEFAULTS,
     KEY_SPECS,
     PRESETS,
-    _BASE,
     format_config,
     read_config,
     resolve_spec,
@@ -101,7 +101,7 @@ def _cmd_presets(_args) -> int:
         print(f"  {name}: {desc}")
     print("\nkeys (section, key, default):")
     for key, (section, _) in KEY_SPECS.items():
-        print(f"  [{section}] {key} = {_BASE[key]}")
+        print(f"  [{section}] {key} = {DEFAULTS[key]}")
     return EXIT_OK
 
 

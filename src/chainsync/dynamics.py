@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstabilityError, StepTooLarge, UncertaintyViolation
+from .errors import InstabilityError, UncertaintyViolation
 from .lattice import (
     DEFAULT_STABILITY_TOL,
     NetworkConfig,
@@ -130,13 +130,23 @@ def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> Gaus
     return GaussianState(mean, cov)
 
 
-def _mode_trig(nu: np.ndarray, t: float):
-    """cos(nu t), sin(nu t)/nu, nu sin(nu t); the middle one has the
-    analytic t limit at nu = 0."""
-    cos_ = np.cos(nu * t)
-    sinc_ = t * np.sinc(nu * t / np.pi)
-    nusin = nu * np.sin(nu * t)
-    return cos_, sinc_, nusin
+def mode_trig(nu, t):
+    """cos(nu t), sin(nu t)/nu and nu sin(nu t), broadcast over nu and t;
+    the middle one has the analytic t limit at nu = 0."""
+    # nu * t is recomputed, not held: a held phase array per time block
+    # raised the peak RSS of a full-scale fig2 run by about 7%
+    return np.cos(nu * t), t * np.sinc(nu * t / np.pi), nu * np.sin(nu * t)
+
+
+def spectrum(qf: QuadraticForm, stability_tol: float = DEFAULT_STABILITY_TOL, check: bool = True):
+    """Normal modes ``(nu, O, min_eig)`` of V = O diag(nu^2) O^T from one
+    ``eigh``.  With ``check``, min_eig <= ``stability_tol`` raises
+    InstabilityError; otherwise negative eigenvalues become zero modes."""
+    evals, O = np.linalg.eigh(qf.V)
+    min_eig = float(evals[0])
+    if check and min_eig <= stability_tol:
+        raise InstabilityError(min_eig, stability_tol)
+    return np.sqrt(np.clip(evals, 0.0, None)), O, min_eig
 
 
 def propagator(
@@ -147,11 +157,8 @@ def propagator(
     Diagonalizes V once and rotates the per-mode solution back to the
     site basis; the result satisfies S J S^T = J to round-off.
     """
-    evals, O = np.linalg.eigh(qf.V)
-    if check and evals[0] <= stability_tol:
-        raise InstabilityError(evals[0], stability_tol)
-    nu = np.sqrt(np.clip(evals, 0.0, None))
-    cos_, sinc_, nusin = _mode_trig(nu, t)
+    nu, O, _ = spectrum(qf, stability_tol, check)
+    cos_, sinc_, nusin = mode_trig(nu, t)
     N = qf.dim
     S = np.empty((2 * N, 2 * N))
     C = (O * cos_[None, :]) @ O.T
@@ -193,39 +200,3 @@ def mean_energy(state: GaussianState, qf: QuadraticForm) -> float:
     return float(
         0.5 * (mp @ mp + mx @ qf.V @ mx) + 0.5 * (np.trace(spp) + np.sum(qf.V * sxx))
     )
-
-
-def rk4_reference(
-    state: GaussianState, qf: QuadraticForm, horizon: float, dt: float
-) -> GaussianState:
-    """Classical 4th-order integration of the moment equations.
-
-    Independent cross-check for the exact propagator: the mean follows
-    dr/dt = F r and the covariance the Lyapunov equation dsigma/dt =
-    F sigma + sigma F^T with F = [[0, I], [-V, 0]].  Test use only.
-    """
-    N = qf.dim
-    nu_max = float(np.sqrt(max(np.linalg.eigvalsh(qf.V)[-1], 0.0)))
-    if nu_max > 0 and dt > (2.0 * np.pi / nu_max) / 20.0:
-        raise StepTooLarge(
-            f"dt={dt} too coarse for fastest mode (need <= "
-            f"{(2.0 * np.pi / nu_max) / 20.0:.4g})"
-        )
-    F = np.zeros((2 * N, 2 * N))
-    F[:N, N:] = np.eye(N)
-    F[N:, :N] = -qf.V
-
-    def rhs(m, s):
-        return F @ m, F @ s + s @ F.T
-
-    m = state.mean.copy()
-    s = state.cov.copy()
-    n_steps = int(round(horizon / dt))
-    for _ in range(n_steps):
-        k1m, k1s = rhs(m, s)
-        k2m, k2s = rhs(m + 0.5 * dt * k1m, s + 0.5 * dt * k1s)
-        k3m, k3s = rhs(m + 0.5 * dt * k2m, s + 0.5 * dt * k2s)
-        k4m, k4s = rhs(m + dt * k3m, s + dt * k3s)
-        m = m + (dt / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-        s = s + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
-    return GaussianState(m, s)

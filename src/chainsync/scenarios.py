@@ -22,13 +22,19 @@ from .lattice import (
     NetworkConfig,
     ProbePair,
     assemble_full_potential,
-    check_stability,
     max_group_velocity,
     revival_time,
 )
-from .measures import CorrelationReport, SyncSeries, correlation_report, sync_series
+from .measures import (
+    MIN_WINDOW_SAMPLES,
+    CorrelationReport,
+    SyncSeries,
+    correlation_report,
+    sync_series,
+)
 from .modes import (
     RayleighReport,
+    SystemModes,
     chain_rayleigh_report,
     mode_rotation,
     ohmic_gap_ratio,
@@ -100,7 +106,7 @@ KEY_SPECS = {
 }
 
 # shared chain and defaults; "custom" is this set verbatim
-_BASE = {
+DEFAULTS = {
     "M": 300,
     "omega0": 0.4,
     "g": 1.2,
@@ -190,34 +196,8 @@ class ScenarioSpec:
     def flat(self) -> dict:
         """All resolved keys as one flat mapping (config echo order)."""
         return {
-            "M": self.network.M,
-            "omega0": self.network.omega0,
-            "g": self.network.g,
-            "omega1": self.probes.omega1,
-            "omega2": self.probes.omega2,
-            "lambda": self.probes.lam,
-            "K": self.probes.K,
-            "site_m": self.probes.site_m,
-            "site_n": self.probes.site_n,
-            "sign2": self.probes.sign2,
-            "x1": self.initial.x1,
-            "x2": self.initial.x2,
-            "p1": self.initial.p1,
-            "p2": self.initial.p2,
-            "r1": self.initial.r1,
-            "r2": self.initial.r2,
-            "squeeze_axis": self.initial.squeeze_axis,
-            "window": self.measure.window,
-            "stride": self.measure.stride,
-            "delay": self.measure.delay,
-            "horizon": self.run.horizon,
-            "dt": self.run.dt,
-            "dt_cov": self.run.dt_cov,
-            "write_quantum": self.run.write_quantum,
-            "sweep_start": self.run.sweep_start,
-            "sweep_stop": self.run.sweep_stop,
-            "sweep_step": self.run.sweep_step,
-            "out": self.run.out,
+            key: getattr(getattr(self, section), "lam" if key == "lambda" else key)
+            for key, (section, _) in KEY_SPECS.items()
         }
 
 
@@ -274,34 +254,47 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     preset = preset or "custom"
     if preset not in PRESETS:
         raise RangeError(f"unknown preset {preset!r}")
-    values = dict(_BASE)
+    values = dict(DEFAULTS)
     values.update(PRESETS[preset])
     for key, val in (overrides or {}).items():
         if key not in KEY_SPECS:
             raise UnknownKey(f"unknown key {key!r}")
         values[key] = val
 
-    def positive(key):
+    try:
+        network = NetworkConfig(M=values["M"], omega0=values["omega0"], g=values["g"])
+        probes = ProbePair(
+            omega1=values["omega1"],
+            omega2=values["omega2"],
+            lam=values["lambda"],
+            K=values["K"],
+            site_m=values["site_m"],
+            site_n=values["site_n"],
+            sign2=values["sign2"],
+        )
+        probes.validate_sites(network.M)
+    except ValueError as exc:
+        raise RangeError(str(exc))
+    for key in ("horizon", "dt", "dt_cov", "window", "stride"):
         if values[key] <= 0:
             raise RangeError(f"{key} must be positive, got {values[key]}")
-
-    if values["M"] < 2:
-        raise RangeError(f"M must be at least 2, got {values['M']}")
-    if values["omega0"] < 0:
-        raise RangeError(f"omega0 must be non-negative, got {values['omega0']}")
-    for key in ("g", "omega1", "omega2", "horizon", "dt", "dt_cov", "window", "stride"):
-        positive(key)
-    for key in ("lambda", "K"):
-        if values[key] < 0:
-            raise RangeError(f"{key} must be non-negative, got {values[key]}")
-    M = values["M"]
-    for key in ("site_m", "site_n"):
-        if not 1 <= values[key] <= M:
-            raise RangeError(f"{key}={values[key]} outside chain range [1, {M}]")
-    if values["sign2"] not in (1, -1):
-        raise RangeError(f"sign2 must be +1 or -1, got {values['sign2']}")
+    if values["K"] < 0:
+        raise RangeError(f"K must be non-negative, got {values['K']}")
+    # the sampling rules sync_series applies to the mean and variance grids
+    window, stride = values["window"], values["stride"]
+    for key in ("dt", "dt_cov"):
+        step = values[key]
+        if round(window / step) + 1 < MIN_WINDOW_SAMPLES:
+            raise RangeError(
+                f"window {window} holds fewer than {MIN_WINDOW_SAMPLES} samples "
+                f"at {key}={step}"
+            )
+        n_steps = round(stride / step)
+        if n_steps < 1 or abs(stride - n_steps * step) > 1e-9 * stride:
+            raise RangeError(f"stride {stride} is not a whole multiple of {key}={step}")
     if values["squeeze_axis"] not in ("position", "momentum"):
         raise RangeError(f"squeeze_axis must be 'position' or 'momentum'")
+    M = network.M
     if values["sweep_stop"] == 0:
         values["sweep_stop"] = M
     if not (1 <= values["sweep_start"] <= values["sweep_stop"] <= M):
@@ -312,16 +305,6 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     if values["sweep_step"] < 1:
         raise RangeError(f"sweep_step must be >= 1, got {values['sweep_step']}")
 
-    network = NetworkConfig(M=M, omega0=values["omega0"], g=values["g"])
-    probes = ProbePair(
-        omega1=values["omega1"],
-        omega2=values["omega2"],
-        lam=values["lambda"],
-        K=values["K"],
-        site_m=values["site_m"],
-        site_n=values["site_n"],
-        sign2=values["sign2"],
-    )
     initial = InitialConditions(
         values["x1"], values["x2"], values["p1"], values["p2"],
         values["r1"], values["r2"], values["squeeze_axis"],
@@ -357,14 +340,6 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _probe_covariances(spec: ScenarioSpec):
-    sign = 1.0 if spec.initial.squeeze_axis == "position" else -1.0
-    return (
-        squeezed_vacuum_local(spec.probes.omega1, sign * spec.initial.r1),
-        squeezed_vacuum_local(spec.probes.omega2, sign * spec.initial.r2),
-    )
-
-
 @dataclass
 class SimulationData:
     """In-memory trajectory bundle behind a RunRecord."""
@@ -385,6 +360,7 @@ class SimulationData:
     quantum: CorrelationReport | None
     rayleigh: RayleighReport
     min_eigenvalue: float
+    modes: SystemModes
 
 
 @dataclass
@@ -399,20 +375,29 @@ class RunRecord:
     data: SimulationData = field(default=None, repr=False)
 
 
+def _prepare(spec: ScenarioSpec):
+    """The trajectory engine of a scenario and its mean-sample grid.
+
+    The initial state is not returned: its dense 2N x 2N covariance is
+    freed once the engine has rotated it into normal coordinates.
+    """
+    cfg, probes, ini = spec.network, spec.probes, spec.initial
+    qf = assemble_full_potential(cfg, probes)
+    sign = 1.0 if ini.squeeze_axis == "position" else -1.0
+    probe_covs = (
+        squeezed_vacuum_local(probes.omega1, sign * ini.r1),
+        squeezed_vacuum_local(probes.omega2, sign * ini.r2),
+    )
+    state = initial_composite_state(((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, cfg)
+    engine = NormalModeTrajectory(qf, state)
+    n = int(round(spec.run.horizon / spec.run.dt))
+    return engine, np.arange(n + 1) * spec.run.dt
+
+
 def simulate(spec: ScenarioSpec) -> SimulationData:
     """Run the scenario in memory (no files)."""
     cfg, probes = spec.network, spec.probes
-    qf = assemble_full_potential(cfg, probes)
-    min_eig = check_stability(qf)
-    state = initial_composite_state(
-        ((spec.initial.x1, spec.initial.p1), (spec.initial.x2, spec.initial.p2)),
-        _probe_covariances(spec),
-        cfg,
-    )
-    engine = NormalModeTrajectory(qf, state)
-
-    n = int(round(spec.run.horizon / spec.run.dt))
-    times = np.arange(n + 1) * spec.run.dt
+    engine, times = _prepare(spec)
     X, P = engine.mean_series(times)
     modes = system_modes(probes, cfg.M)
     R = mode_rotation(modes.theta)
@@ -438,7 +423,8 @@ def simulate(spec: ScenarioSpec) -> SimulationData:
         covariances=covs,
         sync_means=sm, sync_vars=sv,
         quantum=quantum, rayleigh=rayleigh,
-        min_eigenvalue=min_eig,
+        min_eigenvalue=engine.min_eigenvalue,
+        modes=modes,
     )
 
 
@@ -467,7 +453,7 @@ def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:
         "c_means_plateau": _nanmedian(data.sync_means.in_band(lo, hi)),
         "c_vars_plateau": _nanmedian(data.sync_vars.in_band(lo, hi)),
     }
-    modes = system_modes(spec.probes, spec.network.M)
+    modes = data.modes
     summary["theta"] = modes.theta
     summary["Lambda1"] = modes.Lambda1
     summary["Lambda2"] = modes.Lambda2
@@ -599,17 +585,7 @@ def _sweep_one(args):
     params["site_n"] = site
     try:
         spec = resolve_spec(preset, params)
-        cfg, probes = spec.network, spec.probes
-        qf = assemble_full_potential(cfg, probes)
-        check_stability(qf)
-        state = initial_composite_state(
-            ((spec.initial.x1, spec.initial.p1), (spec.initial.x2, spec.initial.p2)),
-            _probe_covariances(spec),
-            cfg,
-        )
-        engine = NormalModeTrajectory(qf, state)
-        n = int(round(spec.run.horizon / spec.run.dt))
-        times = np.arange(n + 1) * spec.run.dt
+        engine, times = _prepare(spec)
         X, _ = engine.mean_series(times)
         ss = sync_series(
             times, X[:, 0], X[:, 1],

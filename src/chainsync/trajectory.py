@@ -2,20 +2,22 @@
 
 Stepping the full 2N x 2N covariance through a symplectic map costs
 O(N^3) per output sample, which is wasteful when only the two probe modes
-are observed.  This engine diagonalizes the potential once, rotates the
-initial moments into normal coordinates, and then evaluates probe means
-and probe-block covariances at arbitrary times directly, each sample
-costing O(N) for means and O(N^2) for covariances.  Results are identical
-(to round-off) to repeated application of ``dynamics.propagator`` maps;
-the equivalence is covered by tests.
+are observed.  This engine diagonalizes the potential once with
+``dynamics.spectrum``, which also checks stability and leaves the smallest
+eigenvalue on the engine as ``min_eigenvalue``.  It rotates the initial
+moments into normal coordinates and then evaluates probe means and
+probe-block covariances at arbitrary times directly, each sample costing
+O(N) for means and O(N^2) for covariances.  The per-mode solution comes
+from ``dynamics.mode_trig``, the same kernel ``dynamics.propagator``
+uses, so results are identical (to round-off) to repeated application of
+propagator maps; the equivalence is covered by tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import GaussianState, _mode_trig
-from .errors import InstabilityError
+from .dynamics import GaussianState, mode_trig, spectrum
 from .lattice import DEFAULT_STABILITY_TOL, QuadraticForm
 
 _TIME_CHUNK = 1024
@@ -34,12 +36,9 @@ class NormalModeTrajectory:
     ):
         if state.n_modes != qf.dim:
             raise ValueError("state and potential dimensions differ")
-        evals, O = np.linalg.eigh(qf.V)
-        if check and evals[0] <= stability_tol:
-            raise InstabilityError(evals[0], stability_tol)
         self.qf = qf
-        self.nu = np.sqrt(np.clip(evals, 0.0, None))
-        self.O = O
+        self.nu, self.O, self.min_eigenvalue = spectrum(qf, stability_tol, check)
+        O = self.O
         N = qf.dim
         self._y0 = O.T @ state.mean[:N]
         self._pi0 = O.T @ state.mean[N:]
@@ -54,20 +53,22 @@ class NormalModeTrajectory:
     def n_modes(self) -> int:
         return self.nu.size
 
+    def _trig_blocks(self, times):
+        """(slice, cos, sinc, nusin) per block of at most _TIME_CHUNK times,
+        each trig array (block, n_modes)."""
+        for lo in range(0, times.size, _TIME_CHUNK):
+            block = slice(lo, min(lo + _TIME_CHUNK, times.size))
+            yield (block, *mode_trig(self.nu, times[block, None]))
+
     def mean_series(self, times, modes=(0, 1)):
         """Means of selected modes: arrays (X, P), each (len(times), k)."""
         times = np.asarray(times, dtype=float)
         rows = self.O[list(modes), :]
         X = np.empty((times.size, rows.shape[0]))
         P = np.empty_like(X)
-        for lo in range(0, times.size, _TIME_CHUNK):
-            hi = min(lo + _TIME_CHUNK, times.size)
-            tb = times[lo:hi, None]
-            cos_ = np.cos(self.nu[None, :] * tb)
-            sinc_ = tb * np.sinc(self.nu[None, :] * tb / np.pi)
-            nusin = self.nu[None, :] * np.sin(self.nu[None, :] * tb)
-            X[lo:hi] = (cos_ * self._y0 + sinc_ * self._pi0) @ rows.T
-            P[lo:hi] = (-nusin * self._y0 + cos_ * self._pi0) @ rows.T
+        for block, cos_, sinc_, nusin in self._trig_blocks(times):
+            X[block] = (cos_ * self._y0 + sinc_ * self._pi0) @ rows.T
+            P[block] = (-nusin * self._y0 + cos_ * self._pi0) @ rows.T
         return X, P
 
     def covariance_series(self, times, modes=(0, 1)):
@@ -79,26 +80,21 @@ class NormalModeTrajectory:
         N = self.n_modes
         Sigma0 = np.block([[self._Syy, self._Syp], [self._Syp.T, self._Spp]])
         out = np.empty((times.size, 2 * k, 2 * k))
-        for lo in range(0, times.size, _TIME_CHUNK):
-            hi = min(lo + _TIME_CHUNK, times.size)
-            tb = times[lo:hi, None]
-            cos_ = np.cos(self.nu[None, :] * tb)
-            sinc_ = tb * np.sinc(self.nu[None, :] * tb / np.pi)
-            nusin = self.nu[None, :] * np.sin(self.nu[None, :] * tb)
-            B = np.empty((hi - lo, 2 * k, 2 * N))
+        for block, cos_, sinc_, nusin in self._trig_blocks(times):
+            B = np.empty((cos_.shape[0], 2 * k, 2 * N))
             B[:, :k, :N] = cos_[:, None, :] * rows[None, :, :]
             B[:, :k, N:] = sinc_[:, None, :] * rows[None, :, :]
             B[:, k:, :N] = -nusin[:, None, :] * rows[None, :, :]
             B[:, k:, N:] = cos_[:, None, :] * rows[None, :, :]
             flat = B.reshape(-1, 2 * N)
-            M1 = (flat @ Sigma0).reshape(hi - lo, 2 * k, 2 * N)
+            M1 = (flat @ Sigma0).reshape(B.shape)
             blk = np.einsum("tia,tja->tij", M1, B)
-            out[lo:hi] = 0.5 * (blk + np.swapaxes(blk, 1, 2))
+            out[block] = 0.5 * (blk + np.swapaxes(blk, 1, 2))
         return out
 
     def state_at(self, t: float) -> GaussianState:
         """Full composite Gaussian state at time t (O(N^3); use sparingly)."""
-        c, d, e_ = _mode_trig(self.nu, float(t))
+        c, d, e_ = mode_trig(self.nu, float(t))
         e = -e_
         y = c * self._y0 + d * self._pi0
         pi = e * self._y0 + c * self._pi0

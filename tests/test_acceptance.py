@@ -29,7 +29,6 @@ from chainsync import (
     propagator,
     reduce,
     resolve_spec,
-    rk4_reference,
     simulate,
     solve_gqle_means,
     squeezed_vacuum_local,
@@ -44,6 +43,8 @@ from chainsync import (
 )
 from chainsync.modes import mode_rotation
 from chainsync.trajectory import NormalModeTrajectory
+
+from oracles import rk4_reference
 
 
 def report(num, name, ok, detail=""):

@@ -35,12 +35,20 @@ def test_config_error_exit_code(capsys):
     assert main(["validate", "--set", "bogus=1"]) == 2
     assert main(["run", "--set", "preset=nope"]) == 2
     assert main(["run", "--set", "M"]) == 2
+    small = ["run", "--set", "M=20", "--set", "horizon=60"]
+    assert main([*small, "--set", "window=1.0"]) == 2
+    assert main([*small, "--set", "dt_cov=0.3"]) == 2
 
 
-def test_instability_exit_code(capsys):
+def test_instability_exit_code(tmp_path, capsys):
     code = main(["validate", "--set", "M=24", "--set", "K=50.0"])
     assert code == 3
     assert "unstable" in capsys.readouterr().err
+    # run raises from the trajectory engine's own stability check
+    out = tmp_path / "out"
+    assert main(["run", "--set", "M=24", "--set", "K=50.0", "--out", str(out)]) == 3
+    assert "unstable" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_io_error_exit_code(tmp_path, capsys):

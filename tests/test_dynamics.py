@@ -16,7 +16,6 @@ from chainsync import (
     mean_energy,
     propagator,
     reduce,
-    rk4_reference,
     squeezed_vacuum_local,
     symplectic_defect,
     symplectic_form,
@@ -24,6 +23,8 @@ from chainsync import (
     uncertainty_defect,
 )
 from chainsync.trajectory import NormalModeTrajectory
+
+from oracles import rk4_reference
 
 
 def small_system(M=10, K=0.2, lam=0.5, omega2=1.1, r=(0.0, 0.0), x0=(0.14, 1.4)):

@@ -8,6 +8,8 @@ from chainsync import (
     ParseError,
     RangeError,
     UnknownKey,
+    assemble_full_potential,
+    check_stability,
     format_config,
     parse_config,
     resolve_spec,
@@ -111,6 +113,14 @@ def test_range_errors():
         resolve_spec("custom", {"sweep_start": 10, "sweep_stop": 5})
     with pytest.raises(RangeError):
         resolve_spec("custom", {"squeeze_axis": "diagonal"})
+    # windows shorter than sync_series accepts, on either sample grid
+    with pytest.raises(RangeError):
+        parse_config("window = 1.0\n")
+    with pytest.raises(RangeError):
+        parse_config("dt = 5\n")
+    # a stride off the dt_cov grid would leave c_vars unmatched (NaN)
+    with pytest.raises(RangeError):
+        parse_config("dt_cov = 0.3\n")
 
 
 def test_config_roundtrip():
@@ -249,3 +259,28 @@ def test_sweep_requires_sweepable_preset():
         sweep_plug_site(spec, sites=[1])
     with pytest.raises(RangeError):
         sweep_plug_site(resolve_spec("appB_sweep", {"M": 24}), sites=[30])
+
+
+def test_one_diagonalization_per_run_and_site(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def counted(a, *args, **kwargs):
+            if a.shape[0] > 2:
+                calls.append(fn.__name__)
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    spec = resolve_spec("fig2_dissipation", SMALL)
+    data = simulate(spec)
+    assert calls == ["eigh"]
+    expected = check_stability(assemble_full_potential(spec.network, spec.probes))
+    assert data.min_eigenvalue == pytest.approx(expected, rel=1e-12)
+
+    calls.clear()
+    sweep = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0})
+    sweep_plug_site(sweep, sites=[3, 4, 5], out_dir=tmp_path)
+    assert calls == ["eigh"] * 3
