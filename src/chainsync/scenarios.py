@@ -281,7 +281,9 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     if values["K"] < 0:
         raise RangeError(f"K must be non-negative, got {values['K']}")
     # the sampling rules sync_series applies to the mean and variance grids
-    window, stride = values["window"], values["stride"]
+    window, stride, delay = values["window"], values["stride"], values["delay"]
+    if values["horizon"] < window:
+        raise RangeError(f"horizon {values['horizon']} is shorter than the window {window}")
     for key in ("dt", "dt_cov"):
         step = values[key]
         if round(window / step) + 1 < MIN_WINDOW_SAMPLES:
@@ -292,6 +294,8 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
         n_steps = round(stride / step)
         if n_steps < 1 or abs(stride - n_steps * step) > 1e-9 * stride:
             raise RangeError(f"stride {stride} is not a whole multiple of {key}={step}")
+        if abs(delay - round(delay / step) * step) > 1e-9 * abs(delay):
+            raise RangeError(f"delay {delay} is not a multiple of {key}={step}")
     if values["squeeze_axis"] not in ("position", "momentum"):
         raise RangeError(f"squeeze_axis must be 'position' or 'momentum'")
     M = network.M
@@ -334,6 +338,9 @@ def format_config(spec: ScenarioSpec) -> str:
             if key_section == section:
                 lines.append(f"{key} = {flat[key]}")
     return "\n".join(lines) + "\n"
+
+
+_CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -472,11 +479,19 @@ def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    rows = zip(*columns)
+    """Write equal-length columns as ``.11e`` CSV rows.
+
+    Each block of rows is formatted by one ``%`` operation, which prints
+    exactly what ``_fmt`` prints per value (nan, inf and -0.0 included);
+    blocks bound the size of the text held in memory.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.11e"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[lo : lo + _CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _matched_series(primary: SyncSeries, other: SyncSeries):

@@ -6,21 +6,31 @@ are observed.  This engine diagonalizes the potential once with
 ``dynamics.spectrum``, which also checks stability and leaves the smallest
 eigenvalue on the engine as ``min_eigenvalue``.  It rotates the initial
 moments into normal coordinates and then evaluates probe means and
-probe-block covariances at arbitrary times directly, each sample costing
-O(N) for means and O(N^2) for covariances.  The per-mode solution comes
-from ``dynamics.mode_trig``, the same kernel ``dynamics.propagator``
-uses, so results are identical (to round-off) to repeated application of
-propagator maps; the equivalence is covered by tests.
+probe-block covariances at arbitrary times directly.
+
+Per-sample cost.  Times are taken in blocks of ``_TIME_CHUNK`` rows, and
+each block's phasors z = exp(i nu t) come from one complex multiply per
+mode and sample: on a uniform grid a block is the cached exp(i nu k h)
+rotated by the exactly computed phasor of its first time, so no cos or
+sin is evaluated per sample and the phase error does not accumulate
+across blocks.  Means of k modes are then one complex (block x N) @
+(N x 2k) product, O(N k) per sample.  Covariances read cos, sin/nu and
+nu sin off the same phasors (``dynamics.phasor_trig``, the kernel that
+``dynamics.propagator`` also uses) and keep the O(N^2) per-sample
+B Sigma0 B^T product, which dominates them.  Results equal repeated
+application of propagator maps to round-off; tests cover the
+equivalence, including off-grid times and zero modes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import GaussianState, mode_trig, spectrum
+from .dynamics import GaussianState, mode_trig, phasor_trig, spectrum
 from .lattice import DEFAULT_STABILITY_TOL, QuadraticForm
 
-_TIME_CHUNK = 1024
+# time rows per block; the block's arrays set the peak memory of a series
+_TIME_CHUNK = 256
 
 
 class NormalModeTrajectory:
@@ -53,22 +63,50 @@ class NormalModeTrajectory:
     def n_modes(self) -> int:
         return self.nu.size
 
-    def _trig_blocks(self, times):
-        """(slice, cos, sinc, nusin) per block of at most _TIME_CHUNK times,
-        each trig array (block, n_modes)."""
-        for lo in range(0, times.size, _TIME_CHUNK):
-            block = slice(lo, min(lo + _TIME_CHUNK, times.size))
-            yield (block, *mode_trig(self.nu, times[block, None]))
+    def _phasor_blocks(self, times):
+        """(slice, t, z) per block of at most _TIME_CHUNK times, with z =
+        exp(i nu t) of shape (block, n_modes).
+
+        A block that lies on the uniform grid spanned by ``times`` is the
+        cached exp(i nu k h) times the phasor of its first time, so the
+        phase is re-anchored exactly at every block start; a block off
+        that grid gets its phasors directly.
+        """
+        n = times.size
+        h = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+        steps = np.arange(min(n, _TIME_CHUNK)) * h
+        W = np.exp(1j * (steps[:, None] * self.nu))
+        # grid offsets within a few ulps of the largest time: the phase
+        # error is then of the order of the rounding of nu * t itself
+        tol = 4 * np.finfo(float).eps * np.max(np.abs(times), initial=0.0)
+        for lo in range(0, n, _TIME_CHUNK):
+            t = times[lo : lo + _TIME_CHUNK]
+            m = t.size
+            if np.all(np.abs(t - t[0] - steps[:m]) <= tol):
+                z = W[:m] * np.exp(1j * (self.nu * t[0]))
+            else:
+                z = np.exp(1j * (t[:, None] * self.nu))
+            yield slice(lo, lo + m), t, z
 
     def mean_series(self, times, modes=(0, 1)):
         """Means of selected modes: arrays (X, P), each (len(times), k)."""
         times = np.asarray(times, dtype=float)
         rows = self.O[list(modes), :]
-        X = np.empty((times.size, rows.shape[0]))
+        k = rows.shape[0]
+        nu, y0, pi0 = self.nu, self._y0, self._pi0
+        # x = Re(z a) and p = Re(z i nu a) with a = y0 - i pi0 / nu; a
+        # zero mode keeps its exact limit x = y0 + pi0 t, p = pi0
+        moving = nu != 0
+        a = y0 - 1j * pi0 / np.where(moving, nu, 1.0)
+        a[~moving] = y0[~moving]
+        coef = np.concatenate([rows.T * a[:, None], rows.T * (pi0 + 1j * nu * y0)[:, None]], 1)
+        drift = rows[:, ~moving] @ pi0[~moving]
+        X = np.empty((times.size, k))
         P = np.empty_like(X)
-        for block, cos_, sinc_, nusin in self._trig_blocks(times):
-            X[block] = (cos_ * self._y0 + sinc_ * self._pi0) @ rows.T
-            P[block] = (-nusin * self._y0 + cos_ * self._pi0) @ rows.T
+        for block, t, z in self._phasor_blocks(times):
+            out = (z @ coef).real
+            X[block] = out[:, :k] + t[:, None] * drift
+            P[block] = out[:, k:]
         return X, P
 
     def covariance_series(self, times, modes=(0, 1)):
@@ -80,8 +118,9 @@ class NormalModeTrajectory:
         N = self.n_modes
         Sigma0 = np.block([[self._Syy, self._Syp], [self._Syp.T, self._Spp]])
         out = np.empty((times.size, 2 * k, 2 * k))
-        for block, cos_, sinc_, nusin in self._trig_blocks(times):
-            B = np.empty((cos_.shape[0], 2 * k, 2 * N))
+        for block, t, z in self._phasor_blocks(times):
+            cos_, sinc_, nusin = phasor_trig(self.nu, t[:, None], z)
+            B = np.empty((t.size, 2 * k, 2 * N))
             B[:, :k, :N] = cos_[:, None, :] * rows[None, :, :]
             B[:, :k, N:] = sinc_[:, None, :] * rows[None, :, :]
             B[:, k:, :N] = -nusin[:, None, :] * rows[None, :, :]

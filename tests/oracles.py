@@ -6,7 +6,13 @@ what makes them independent cross-checks.
 
 import numpy as np
 
-from chainsync import GaussianState, QuadraticForm, StepTooLarge
+from chainsync import (
+    GaussianState,
+    QuadraticForm,
+    StepTooLarge,
+    log_negativity,
+    vn_entropy,
+)
 
 
 def rk4_reference(
@@ -43,3 +49,19 @@ def rk4_reference(
         m = m + (dt / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
         s = s + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
     return GaussianState(m, s)
+
+
+def correlation_loop(covs):
+    """(E, MI, S1, S2, S12) of each two-mode covariance from one
+    ``eigvals`` call per 4x4 and 2x2 matrix.
+
+    The per-sample reference for the closed-form invariants of
+    ``correlation_report``.
+    """
+    rows = []
+    for c in np.asarray(covs, dtype=float):
+        s1 = vn_entropy(c[np.ix_([0, 2], [0, 2])])
+        s2 = vn_entropy(c[np.ix_([1, 3], [1, 3])])
+        s12 = vn_entropy(c)
+        rows.append((log_negativity(c), s1 + s2 - s12, s1, s2, s12))
+    return tuple(np.array(rows).reshape(-1, 5).T)

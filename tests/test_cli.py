@@ -38,6 +38,8 @@ def test_config_error_exit_code(capsys):
     small = ["run", "--set", "M=20", "--set", "horizon=60"]
     assert main([*small, "--set", "window=1.0"]) == 2
     assert main([*small, "--set", "dt_cov=0.3"]) == 2
+    assert main([*small, "--set", "delay=0.03"]) == 2
+    assert main(["run", "--set", "M=20", "--set", "horizon=15"]) == 2
 
 
 def test_instability_exit_code(tmp_path, capsys):

@@ -251,3 +251,63 @@ def test_reduce_identity_and_marginals():
     evolved = evolve(state, propagator(qf, 12.0))
     nus = symplectic_spectrum(reduce(evolved, (0, 1)).cov)
     assert nus[0] > 0.5 + 1e-3
+
+
+def s_matrix_probe_moments(qf, state, times, check=True):
+    """Probe means (X, P) and covariances from the S-matrix path, one
+    propagator per time."""
+    X, P, covs = [], [], []
+    for t in times:
+        probe = reduce(evolve(state, propagator(qf, t, check=check)), (0, 1))
+        X.append(probe.mean[:2])
+        P.append(probe.mean[2:])
+        covs.append(probe.cov)
+    return np.array(X), np.array(P), np.array(covs)
+
+
+def assert_engine_matches_s_matrix(qf, state, times, check=True):
+    eng = NormalModeTrajectory(qf, state, check=check)
+    X, P = eng.mean_series(times)
+    covs = eng.covariance_series(times)
+    X_ref, P_ref, covs_ref = s_matrix_probe_moments(qf, state, times, check)
+    assert np.max(np.abs(X - X_ref)) <= 1e-10
+    assert np.max(np.abs(P - P_ref)) <= 1e-10
+    assert np.max(np.abs(covs - covs_ref)) <= 1e-10
+
+
+def test_engine_non_uniform_grid():
+    cfg, qf, state = small_system(M=12, r=(0.4, -0.2))
+    rng = np.random.default_rng(11)
+    times = np.sort(rng.uniform(0.0, 150.0, size=300))
+    assert_engine_matches_s_matrix(qf, state, times)
+    # uniform blocks around a single off-grid time
+    times = np.arange(600) * 0.05
+    times[300] += 0.013
+    assert_engine_matches_s_matrix(qf, state, times)
+
+
+def test_engine_grid_not_a_multiple_of_the_block():
+    from chainsync.trajectory import _TIME_CHUNK
+
+    cfg, qf, state = small_system(M=12, r=(0.4, 0.0))
+    times = np.arange(2 * _TIME_CHUNK + 37) * 0.3 + 5.0
+    assert_engine_matches_s_matrix(qf, state, times)
+
+
+def test_engine_exact_zero_mode():
+    # V = [[1, -1], [-1, 1]] (+) a stable block has an exact zero mode: a
+    # free centre-of-mass drift that check=False lets through
+    V = np.zeros((4, 4))
+    V[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+    V[2:, 2:] = [[2.0, -0.5], [-0.5, 1.5]]
+    qf = QuadraticForm(V)
+    cov = np.diag([0.6, 0.5, 0.7, 0.9, 0.5, 0.6, 0.8, 0.4])
+    cov[0, 4] = cov[4, 0] = 0.1
+    state = GaussianState(np.array([0.3, -0.2, 0.1, 0.0, 0.5, 0.7, -0.1, 0.2]), cov)
+    eng = NormalModeTrajectory(qf, state, check=False)
+    assert np.min(eng.nu) == 0.0
+    times = np.arange(301) * 0.1
+    assert_engine_matches_s_matrix(qf, state, times, check=False)
+    X, _ = eng.mean_series(times)
+    # the drift of (x1 + x2) / 2 is the mean momentum (p1 + p2) / 2
+    assert np.allclose(X.sum(axis=1) / 2, 0.05 + 0.6 * times, atol=1e-10)

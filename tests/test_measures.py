@@ -25,6 +25,9 @@ from chainsync import (
     sync_series,
     vn_entropy,
 )
+from chainsync.trajectory import NormalModeTrajectory
+
+from oracles import correlation_loop
 
 
 def tms_covariance(r):
@@ -34,6 +37,26 @@ def tms_covariance(r):
     cov[0, 1] = cov[1, 0] = 0.5 * sh
     cov[2, 3] = cov[3, 2] = -0.5 * sh
     return cov
+
+
+def squeezed_product(r1, r2, w1=1.0, w2=1.2):
+    """Two local squeezed vacua in (x1, x2, p1, p2) ordering."""
+    return np.diag(
+        [np.exp(-2 * r1) / (2 * w1), np.exp(-2 * r2) / (2 * w2),
+         w1 * np.exp(2 * r1) / 2, w2 * np.exp(2 * r2) / 2]
+    )
+
+
+def random_symplectic(rng, r_max=1.5):
+    """Bloch-Messiah product O1 diag(e^-r, e^r) O2 of two passive (unitary)
+    maps and a squeezer, in (x1, x2, p1, p2) ordering."""
+
+    def passive():
+        U, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        return np.block([[U.real, -U.imag], [U.imag, U.real]])
+
+    r = rng.uniform(-r_max, r_max, size=2)
+    return passive() @ np.diag(np.exp(np.concatenate([-r, r]))) @ passive()
 
 
 def entropy_formula(nu):
@@ -207,3 +230,60 @@ def test_pure_state_complementarity():
     s_chain = vn_entropy(reduce(evolved, range(2, 8)).cov)
     assert s_probes > 0.05
     assert s_probes == pytest.approx(s_chain, abs=1e-6)
+
+
+CLOSED_FORM_TOL = 1e-10
+
+
+def assert_matches_loop(covs):
+    rep = correlation_report(np.arange(len(covs)), covs)
+    for name, ref in zip(("E", "MI", "S1", "S2", "S12"), correlation_loop(covs)):
+        err = np.max(np.abs(getattr(rep, name) - ref))
+        assert err <= CLOSED_FORM_TOL, (name, err)
+
+
+def test_correlation_report_pure_states_match_loop():
+    # every symplectic eigenvalue is exactly 1/2, where x ln x has an
+    # infinite slope and a lost digit in nu shows up many times over
+    pure = [0.5 * np.eye(4)]
+    pure += [tms_covariance(r) for r in (0.05, 0.3, 1.0, 1.5, 2.0)]
+    pure += [squeezed_product(r1, r2) for r1, r2 in ((0.5, 0.0), (2.0, 2.0), (2.0, -1.0))]
+    covs = np.array(pure)
+    assert_matches_loop(covs)
+    rep = correlation_report(np.arange(len(covs)), covs)
+    assert np.max(np.abs(rep.S12)) <= CLOSED_FORM_TOL
+
+
+def test_correlation_report_random_states_match_loop():
+    rng = np.random.default_rng(17)
+    covs = []
+    for _ in range(60):
+        S = random_symplectic(rng)
+        thermal = np.repeat(rng.uniform(0.5, 3.0, size=2), 2)[[0, 2, 1, 3]]
+        covs.append(S @ np.diag(thermal) @ S.T)
+    assert_matches_loop(np.array(covs))
+
+
+def test_correlation_report_fig5_series_matches_loop():
+    cfg = NetworkConfig(M=30, omega0=0.4, g=1.2)
+    probes = ProbePair(omega2=1.2, lam=0.0, K=0.8, site_m=1, site_n=1)
+    state = initial_composite_state(
+        ((0.0, 0.0), (0.0, 0.0)),
+        (squeezed_vacuum_local(1.0, 2.0), squeezed_vacuum_local(1.2, 2.0)),
+        cfg,
+    )
+    engine = NormalModeTrajectory(assemble_full_potential(cfg, probes), state)
+    covs = engine.covariance_series(np.arange(301) * 0.2)
+    assert_matches_loop(covs)
+    assert np.max(correlation_report(np.arange(301), covs).E) > 0.1
+
+
+def test_correlation_report_rejects_subvacuum():
+    covs = np.array([0.5 * np.eye(4), 0.3 * np.eye(4)])
+    with pytest.raises(NonPhysical):
+        correlation_report(np.arange(2), covs)
+    # a physical pair whose joint state is not
+    joint = tms_covariance(1.0)
+    joint[0, 1] = joint[1, 0] = 0.5 * np.cosh(2.0)
+    with pytest.raises(NonPhysical):
+        correlation_report(np.arange(1), joint[None])

@@ -121,10 +121,22 @@ def test_range_errors():
     # a stride off the dt_cov grid would leave c_vars unmatched (NaN)
     with pytest.raises(RangeError):
         parse_config("dt_cov = 0.3\n")
+    # a delay off either sample grid (sync_series would raise ValueError)
+    with pytest.raises(RangeError):
+        parse_config("delay = 0.03\n")
+    with pytest.raises(RangeError):
+        parse_config("delay = 0.1\n")
+    assert parse_config("delay = -0.4\n").measure.delay == -0.4
+    # no whole window fits: header-only sync.csv and NaN plateaus
+    with pytest.raises(RangeError):
+        parse_config("horizon = 15\n")
+    assert parse_config("horizon = 20\n").run.horizon == 20.0
 
 
 def test_config_roundtrip():
-    spec = resolve_spec("fig5_entanglement_common", {"M": 30, "site_n": 1, "horizon": 10.0})
+    spec = resolve_spec(
+        "fig5_entanglement_common", {"M": 30, "site_n": 1, "horizon": 10.0, "window": 2.0}
+    )
     assert parse_config(format_config(spec)) == spec
 
 
@@ -193,13 +205,9 @@ def test_squeezed_scenario_sync_on_variances():
 
 
 def test_momentum_squeeze_axis_flag():
-    pos = simulate(resolve_spec("custom", {"M": 12, "horizon": 5.0, "r1": 1.0, "r2": 1.0}))
-    mom = simulate(
-        resolve_spec(
-            "custom",
-            {"M": 12, "horizon": 5.0, "r1": 1.0, "r2": 1.0, "squeeze_axis": "momentum"},
-        )
-    )
+    short = {"M": 12, "horizon": 5.0, "window": 2.0, "r1": 1.0, "r2": 1.0}
+    pos = simulate(resolve_spec("custom", short))
+    mom = simulate(resolve_spec("custom", dict(short, squeeze_axis="momentum")))
     assert pos.var_x1[0] == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-12)
     assert mom.var_x1[0] == pytest.approx(math.exp(2.0) / 2.0, rel=1e-12)
 
@@ -284,3 +292,24 @@ def test_one_diagonalization_per_run_and_site(tmp_path, monkeypatch):
     sweep = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0})
     sweep_plug_site(sweep, sites=[3, 4, 5], out_dir=tmp_path)
     assert calls == ["eigh"] * 3
+
+
+def test_csv_writer_matches_per_value_formatter(tmp_path):
+    from chainsync.scenarios import _write_csv
+
+    def per_value(path, header, columns):
+        # the writer's reference: one f-string per value
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "\n")
+            for row in zip(*columns):
+                fh.write(",".join(f"{x:.11e}" for x in row) + "\n")
+
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, -1e-300, 5e-324]
+    rng = np.random.default_rng(4)
+    for rows in (1, 4096, 4097):
+        table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+        table.flat[: min(table.size, len(special))] = special[: table.size]
+        columns = (np.arange(rows) * 0.02, *table.T)
+        _write_csv(tmp_path / "block.csv", "t,a,b,c", columns)
+        per_value(tmp_path / "ref.csv", "t,a,b,c", columns)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
