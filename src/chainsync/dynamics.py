@@ -21,6 +21,10 @@ from .lattice import (
     chain_normal_modes,
 )
 
+# time rows per block of ``phasor_blocks``; the block's arrays set the
+# peak memory of a series
+_TIME_CHUNK = 256
+
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Canonical form J for n modes in positions-then-momenta ordering."""
@@ -142,6 +146,32 @@ def phasor_trig(nu, t, z):
 def mode_trig(nu, t):
     """``phasor_trig`` at times t, broadcast over nu and t."""
     return phasor_trig(nu, t, np.exp(1j * (nu * t)))
+
+
+def phasor_blocks(nu, times):
+    """(slice, t, z) per block of at most _TIME_CHUNK times, with z =
+    exp(i nu t) of shape (block, len(nu)).
+
+    A block that lies on the uniform grid spanned by ``times`` is the
+    cached exp(i nu k h) times the phasor of its first time, so the
+    phase is re-anchored exactly at every block start; a block off
+    that grid gets its phasors directly.
+    """
+    n = times.size
+    h = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+    steps = np.arange(min(n, _TIME_CHUNK)) * h
+    W = np.exp(1j * (steps[:, None] * nu))
+    # grid offsets within a few ulps of the largest time: the phase
+    # error is then of the order of the rounding of nu * t itself
+    tol = 4 * np.finfo(float).eps * np.max(np.abs(times), initial=0.0)
+    for lo in range(0, n, _TIME_CHUNK):
+        t = times[lo : lo + _TIME_CHUNK]
+        m = t.size
+        if np.all(np.abs(t - t[0] - steps[:m]) <= tol):
+            z = W[:m] * np.exp(1j * (nu * t[0]))
+        else:
+            z = np.exp(1j * (t[:, None] * nu))
+        yield slice(lo, lo + m), t, z
 
 
 def spectrum(qf: QuadraticForm, stability_tol: float = DEFAULT_STABILITY_TOL, check: bool = True):

@@ -76,16 +76,25 @@ class SyncSeries:
 def sync_series(times, f, g, window, stride, delay: float = 0.0) -> SyncSeries:
     """Sliding-window Pearson correlation of f(t) against g(t + delay).
 
-    The delay must be a multiple of the sample step; windows that would
-    run past the data are dropped, and degenerate windows are stored as
-    NaN rather than aborting the series.
+    ``times`` must be a uniform grid and the delay a multiple of its
+    step; windows that would run past the data are dropped, and
+    degenerate windows are stored as NaN rather than aborting the series.
     """
     times = np.asarray(times, dtype=float)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if not (times.size == f.size == g.size):
         raise ValueError("times, f, g must have equal length")
-    dt = float(times[1] - times[0])
+    n = times.size
+    dt = float(times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+    # windows are counted in samples, so every time must sit on t0 + k dt;
+    # the offsets are formed in place, as a scenario grid is long
+    off = np.arange(n, dtype=float)
+    off *= -dt
+    off += times
+    off -= times[0]
+    if not (dt > 0 and np.abs(off, out=off).max(initial=0.0) <= 1e-6 * dt):
+        raise ValueError("times must be a uniform increasing grid of two or more samples")
     d = int(round(delay / dt))
     if abs(delay - d * dt) > 1e-9 * max(dt, abs(delay)):
         raise ValueError(f"delay {delay} is not a multiple of the sample step {dt}")

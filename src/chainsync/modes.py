@@ -9,7 +9,8 @@ cosine sums over the chain band; ``solve_gqle_means`` integrates them for
 the mean values.  ``rayleigh_reduction`` implements the time-local
 reduction: diagonalize the stiffness, transform the damping matrix, drop
 its off-diagonal part, and predict synchronization from the gap between
-the two surviving damping rates.
+the two surviving damping rates.  ``chain_rayleigh_report`` takes that
+damping matrix from the kernels' Markovian plateau in closed form.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import phasor_blocks
 from .errors import StepTooLarge, ZeroModeError
 from .lattice import NetworkConfig, ProbePair, chain_normal_modes, revival_time
-
-_KERNEL_CHUNK = 2048
 
 
 def system_mode_angle(omega1: float, omega2: float, lam: float) -> float:
@@ -129,7 +129,9 @@ def damping_kernels(
     """Sample gamma_1, gamma_2, eta on ``times``.
 
     gamma_s(t) = sum_j c_s(j)^2 / Omega_j^2 cos(Omega_j t), eta likewise
-    with c1 c2.  Requires all chain frequencies strictly positive.
+    with c1 c2; the cosines are the real parts of the phasors that
+    ``dynamics.phasor_blocks`` yields.  Requires all chain frequencies
+    strictly positive.
     """
     omegas = np.asarray(chain_freqs, dtype=float)
     if np.any(omegas <= 0.0):
@@ -142,47 +144,12 @@ def damping_kernels(
     g1 = np.empty_like(times)
     g2 = np.empty_like(times)
     et = np.empty_like(times)
-    for lo in range(0, times.size, _KERNEL_CHUNK):
-        hi = min(lo + _KERNEL_CHUNK, times.size)
-        cosm = np.cos(np.outer(times[lo:hi], omegas))
-        g1[lo:hi] = cosm @ w1
-        g2[lo:hi] = cosm @ w2
-        et[lo:hi] = cosm @ wx
+    for block, _, z in phasor_blocks(omegas, times):
+        cosm = np.ascontiguousarray(z.real)
+        g1[block] = cosm @ w1
+        g2[block] = cosm @ w2
+        et[block] = cosm @ wx
     return Kernels(times, g1, g2, et, float(w1.sum()), float(w2.sum()), float(wx.sum()))
-
-
-def integrated_kernel(times: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral of a sampled kernel."""
-    dt = times[1] - times[0]
-    out = np.empty_like(kernel)
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (kernel[1:] + kernel[:-1]), out=out[1:])
-    return out
-
-
-def markov_plateau(
-    times: np.ndarray,
-    kernel: np.ndarray,
-    t_lo: float,
-    t_hi: float,
-    freq: float = 0.0,
-) -> float:
-    """Time-local damping constant felt by a mode oscillating at ``freq``.
-
-    The memory convolution against an oscillating velocity reduces to a
-    constant friction int_0^inf kernel(s) cos(freq s) ds; here that
-    half-transform is approximated by the mean of the cumulative integral
-    over the plateau window [t_lo, t_hi] (after the band transient, before
-    the boundary echo).  A gapped chain has essentially zero static
-    (freq = 0) friction, so the resonant value is the meaningful one.
-    """
-    times = np.asarray(times, dtype=float)
-    weighted = np.asarray(kernel, dtype=float) * np.cos(freq * times)
-    integral = integrated_kernel(times, weighted)
-    mask = (times >= t_lo) & (times <= t_hi)
-    if not np.any(mask):
-        raise ValueError(f"plateau window [{t_lo}, {t_hi}] contains no samples")
-    return float(integral[mask].mean())
 
 
 @dataclass(frozen=True)
@@ -264,39 +231,41 @@ def chain_rayleigh_report(
 ) -> RayleighReport:
     """Rayleigh prediction for a probe pair plugged into the chain.
 
-    The time-local damping matrix is built from the Markovian plateau of
-    the integrated site-basis kernels, resonance-weighted at the mean
-    system frequency (a modeling choice: the finite chain only admits a
+    The time-local damping matrix is the Markovian plateau of the
+    site-basis kernels K_ab(s) = sum_j C_aj C_bj cos(Omega_j s) / Omega_j^2,
+    C = K [O[site_m - 1]; sign2 O[site_n - 1]] with O the chain's modes:
+    the mean over [t_lo, t_hi] of int_0^t K_ab(s) cos(f s) ds at the mean
+    system frequency f (a modeling choice: the finite chain only admits a
     constant-damping description during the pre-echo transient, and the
-    gapped band makes the static friction vanish).
+    gapped band makes the static friction vanish).  Per mode it is exact:
+
+        G = C diag(P(Omega_j) / Omega_j^2) C^T,
+        P(Omega) = sigma/2 sum_{a = Omega -+ f} sinc(a sigma) sinc(a delta),
+
+    sigma = (t_hi + t_lo)/2, delta = (t_hi - t_lo)/2, sinc x = sin x / x;
+    the dt -> 0 limit of averaging a trapezoid integral of the sampled
+    kernel over the grid points in the window.
     """
     tau_r = revival_time(cfg)
     if t_lo is None:
         t_lo = min(10.0, 0.25 * tau_r)
     if t_hi is None:
         t_hi = 0.5 * tau_r
+    if not 0.0 <= t_lo <= t_hi:
+        raise ValueError(f"plateau window [{t_lo}, {t_hi}] needs 0 <= t_lo <= t_hi")
     if eval_freq is None:
         L1, L2 = system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam)
         eval_freq = 0.5 * (L1 + L2)
-    omegas, _ = chain_normal_modes(cfg)
-    # theta = 0 gives the site-basis kernels: c1 -> site_m row, c2 -> site_n row
-    c1x, c2x = coupling_coefficients(
-        0.0, probes.K, probes.site_m, probes.site_n, cfg.M, probes.sign2
-    )
-    site_modes = SystemModes(0.0, probes.omega1, probes.omega2, c1x, c2x)
-    dt = min(0.05, (2.0 * np.pi / omegas.max()) / 50.0)
-    times = np.arange(0.0, t_hi + dt, dt)
-    kern = damping_kernels(site_modes, omegas, times)
-
-    def plateau(kernel):
-        return markov_plateau(times, kernel, t_lo, t_hi, freq=eval_freq)
-
-    G = np.array(
-        [
-            [plateau(kern.gamma1), plateau(kern.eta)],
-            [plateau(kern.eta), plateau(kern.gamma2)],
-        ]
-    )
+    probes.validate_sites(cfg.M)
+    omegas, O = chain_normal_modes(cfg)
+    c1 = probes.K * O[probes.site_m - 1]
+    c2 = probes.sign2 * probes.K * O[probes.site_n - 1]
+    sigma, delta = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
+    a = np.stack([omegas - eval_freq, omegas + eval_freq])
+    P = 0.5 * sigma * np.sum(np.sinc(a * (sigma / np.pi)) * np.sinc(a * (delta / np.pi)), axis=0)
+    w = P / omegas**2
+    g11, g12, g22 = (c1 * w) @ c1, (c1 * w) @ c2, (c2 * w) @ c2
+    G = np.array([[g11, g12], [g12, g22]])
     return rayleigh_reduction(probe_stiffness(probes), G, sync_threshold)
 
 

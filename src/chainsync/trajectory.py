@@ -8,14 +8,15 @@ eigenvalue on the engine as ``min_eigenvalue``.  It rotates the initial
 moments into normal coordinates and then evaluates probe means and
 probe-block covariances at arbitrary times directly.
 
-Per-sample cost.  Times are taken in blocks of ``_TIME_CHUNK`` rows, and
-each block's phasors z = exp(i nu t) come from one complex multiply per
-mode and sample: on a uniform grid a block is the cached exp(i nu k h)
-rotated by the exactly computed phasor of its first time, so no cos or
-sin is evaluated per sample and the phase error does not accumulate
-across blocks.  Means of k modes are then one complex (block x N) @
-(N x 2k) product, O(N k) per sample.  Covariances read cos, sin/nu and
-nu sin off the same phasors (``dynamics.phasor_trig``, the kernel that
+Per-sample cost.  Times are taken in blocks by ``dynamics.phasor_blocks``,
+the iterator that also serves the memory kernels of
+``modes.damping_kernels``.  Each block's phasors z = exp(i nu t) come from
+one complex multiply per mode and sample: on a uniform grid a block is
+the cached exp(i nu k h) rotated by the exactly computed phasor of its
+first time, so no cos or sin is evaluated per sample and the phase error
+does not accumulate across blocks.  Means of k modes are then one complex
+(block x N) @ (N x 2k) product, O(N k) per sample.  Covariances read cos,
+sin/nu and nu sin off the same phasors (``dynamics.phasor_trig``, the kernel that
 ``dynamics.propagator`` also uses) and keep the O(N^2) per-sample
 B Sigma0 B^T product, which dominates them.  Results equal repeated
 application of propagator maps to round-off; tests cover the
@@ -26,11 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import GaussianState, mode_trig, phasor_trig, spectrum
+from .dynamics import GaussianState, mode_trig, phasor_blocks, phasor_trig, spectrum
 from .lattice import DEFAULT_STABILITY_TOL, QuadraticForm
-
-# time rows per block; the block's arrays set the peak memory of a series
-_TIME_CHUNK = 256
 
 
 class NormalModeTrajectory:
@@ -63,31 +61,6 @@ class NormalModeTrajectory:
     def n_modes(self) -> int:
         return self.nu.size
 
-    def _phasor_blocks(self, times):
-        """(slice, t, z) per block of at most _TIME_CHUNK times, with z =
-        exp(i nu t) of shape (block, n_modes).
-
-        A block that lies on the uniform grid spanned by ``times`` is the
-        cached exp(i nu k h) times the phasor of its first time, so the
-        phase is re-anchored exactly at every block start; a block off
-        that grid gets its phasors directly.
-        """
-        n = times.size
-        h = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
-        steps = np.arange(min(n, _TIME_CHUNK)) * h
-        W = np.exp(1j * (steps[:, None] * self.nu))
-        # grid offsets within a few ulps of the largest time: the phase
-        # error is then of the order of the rounding of nu * t itself
-        tol = 4 * np.finfo(float).eps * np.max(np.abs(times), initial=0.0)
-        for lo in range(0, n, _TIME_CHUNK):
-            t = times[lo : lo + _TIME_CHUNK]
-            m = t.size
-            if np.all(np.abs(t - t[0] - steps[:m]) <= tol):
-                z = W[:m] * np.exp(1j * (self.nu * t[0]))
-            else:
-                z = np.exp(1j * (t[:, None] * self.nu))
-            yield slice(lo, lo + m), t, z
-
     def mean_series(self, times, modes=(0, 1)):
         """Means of selected modes: arrays (X, P), each (len(times), k)."""
         times = np.asarray(times, dtype=float)
@@ -103,7 +76,7 @@ class NormalModeTrajectory:
         drift = rows[:, ~moving] @ pi0[~moving]
         X = np.empty((times.size, k))
         P = np.empty_like(X)
-        for block, t, z in self._phasor_blocks(times):
+        for block, t, z in phasor_blocks(self.nu, times):
             out = (z @ coef).real
             X[block] = out[:, :k] + t[:, None] * drift
             P[block] = out[:, k:]
@@ -118,7 +91,7 @@ class NormalModeTrajectory:
         N = self.n_modes
         Sigma0 = np.block([[self._Syy, self._Syp], [self._Syp.T, self._Spp]])
         out = np.empty((times.size, 2 * k, 2 * k))
-        for block, t, z in self._phasor_blocks(times):
+        for block, t, z in phasor_blocks(self.nu, times):
             cos_, sinc_, nusin = phasor_trig(self.nu, t[:, None], z)
             B = np.empty((t.size, 2 * k, 2 * N))
             B[:, :k, :N] = cos_[:, None, :] * rows[None, :, :]

@@ -10,9 +10,14 @@ from chainsync import (
     GaussianState,
     QuadraticForm,
     StepTooLarge,
+    chain_normal_modes,
     log_negativity,
+    rayleigh_reduction,
+    revival_time,
+    system_eigenfrequencies,
     vn_entropy,
 )
+from chainsync.modes import probe_stiffness
 
 
 def rk4_reference(
@@ -65,3 +70,52 @@ def correlation_loop(covs):
         s12 = vn_entropy(c)
         rows.append((log_negativity(c), s1 + s2 - s12, s1, s2, s12))
     return tuple(np.array(rows).reshape(-1, 5).T)
+
+
+def cosine_kernels(c1, c2, chain_freqs, times):
+    """(gamma1, gamma2, eta) of ``damping_kernels`` from one ``np.cos`` per
+    (time, chain mode) pair."""
+    cosm = np.cos(np.outer(times, chain_freqs))
+    inv2 = 1.0 / np.asarray(chain_freqs) ** 2
+    return cosm @ (c1**2 * inv2), cosm @ (c2**2 * inv2), cosm @ (c1 * c2 * inv2)
+
+
+def integrated_kernel(times: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral of a sampled kernel."""
+    dt = times[1] - times[0]
+    out = np.empty_like(kernel)
+    out[0] = 0.0
+    np.cumsum(0.5 * dt * (kernel[1:] + kernel[:-1]), out=out[1:])
+    return out
+
+
+def markov_plateau(times, kernel, t_lo, t_hi, freq=0.0) -> float:
+    """Mean over the grid points in [t_lo, t_hi] of the trapezoid integral
+    of kernel(s) cos(freq s)."""
+    times = np.asarray(times, dtype=float)
+    weighted = np.asarray(kernel, dtype=float) * np.cos(freq * times)
+    integral = integrated_kernel(times, weighted)
+    mask = (times >= t_lo) & (times <= t_hi)
+    if not np.any(mask):
+        raise ValueError(f"plateau window [{t_lo}, {t_hi}] contains no samples")
+    return float(integral[mask].mean())
+
+
+def grid_rayleigh_report(cfg, probes, dt=None):
+    """``chain_rayleigh_report`` at its default window and frequency, with
+    each plateau sampled on a time grid of step ``dt`` (default
+    min(0.05, T_min / 50), T_min the fastest chain period)."""
+    tau_r = revival_time(cfg)
+    t_lo, t_hi = min(10.0, 0.25 * tau_r), 0.5 * tau_r
+    freq = 0.5 * sum(system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam))
+    omegas, O = chain_normal_modes(cfg)
+    if dt is None:
+        dt = min(0.05, (2.0 * np.pi / omegas.max()) / 50.0)
+    c1 = probes.K * O[probes.site_m - 1]
+    c2 = probes.sign2 * probes.K * O[probes.site_n - 1]
+    times = np.arange(0.0, t_hi + dt, dt)
+    g1, g2, eta = (
+        markov_plateau(times, k, t_lo, t_hi, freq) for k in cosine_kernels(c1, c2, omegas, times)
+    )
+    G = np.array([[g1, eta], [eta, g2]])
+    return rayleigh_reduction(probe_stiffness(probes), G)

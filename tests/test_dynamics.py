@@ -287,7 +287,7 @@ def test_engine_non_uniform_grid():
 
 
 def test_engine_grid_not_a_multiple_of_the_block():
-    from chainsync.trajectory import _TIME_CHUNK
+    from chainsync.dynamics import _TIME_CHUNK
 
     cfg, qf, state = small_system(M=12, r=(0.4, 0.0))
     times = np.arange(2 * _TIME_CHUNK + 37) * 0.3 + 5.0

@@ -133,6 +133,19 @@ def test_sync_series_delay_alignment():
         sync_series(t, f, g, window=15.0, stride=5.0, delay=0.005)
 
 
+def test_sync_series_rejects_non_uniform_grid():
+    t = np.concatenate([np.arange(0, 10, 0.1), 10 + np.arange(0, 40, 0.5)])
+    f = np.cos(1.1 * t)
+    with pytest.raises(ValueError):
+        sync_series(t, f, f, window=10.0, stride=1.0)
+    with pytest.raises(ValueError):
+        sync_series(t[:1], f[:1], f[:1], window=10.0, stride=1.0)
+    # a scenario-length grid, built as the scenarios build it, is uniform
+    t = np.arange(60_001) * 0.02
+    ss = sync_series(t, np.cos(1.1 * t), np.cos(1.1 * t), window=20.0, stride=2.0)
+    assert ss.values.size == 591 and np.allclose(ss.values, 1.0)
+
+
 def test_scan_delayed_sync_recovers_shift():
     t = np.arange(0, 120, 0.01)
     shift = 0.8

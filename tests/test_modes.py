@@ -22,15 +22,18 @@ from chainsync import (
     system_mode_angle,
     system_modes,
 )
+from chainsync.dynamics import _TIME_CHUNK
 from chainsync.lattice import assemble_full_potential
 from chainsync.modes import (
     SystemModes,
     angle_is_degenerate,
-    markov_plateau,
     mode_rotation,
     probe_stiffness,
 )
+from chainsync.scenarios import DEFAULTS, PRESETS, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
+
+from oracles import cosine_kernels, grid_rayleigh_report
 
 FIG2 = dict(omega1=1.0, omega2=1.1, lam=0.5)
 
@@ -162,6 +165,24 @@ def test_kernel_symmetry_under_mode_swap():
     assert np.array_equal(k12.eta, k21.eta)
 
 
+@pytest.mark.parametrize("grid", ["non_uniform", "one_off_grid", "not_a_block_multiple"])
+def test_kernels_match_direct_cosine_sums(grid):
+    cfg = NetworkConfig(M=40, omega0=0.4, g=1.2)
+    omegas, _ = chain_normal_modes(cfg)
+    modes = system_modes(ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=3, site_n=17), cfg.M)
+    if grid == "non_uniform":
+        times = np.sort(np.random.default_rng(5).uniform(0.0, 300.0, size=700))
+    elif grid == "one_off_grid":
+        times = np.arange(800) * 0.05
+        times[300] += 0.013
+    else:
+        times = np.arange(3 * _TIME_CHUNK + 41) * 0.3 + 7.0
+    kern = damping_kernels(modes, omegas, times)
+    refs = cosine_kernels(modes.c1, modes.c2, omegas, times)
+    for got, ref in zip((kern.gamma1, kern.gamma2, kern.eta), refs):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_kernel_rejects_zero_modes():
     modes = SystemModes(0.0, 1.0, 1.1, np.array([0.1, 0.1]), np.array([0.1, 0.1]))
     with pytest.raises(ZeroModeError):
@@ -234,8 +255,50 @@ def test_chain_rayleigh_report_fig2():
 
 
 def test_markov_plateau_requires_samples():
+    cfg = NetworkConfig(M=20, omega0=0.4, g=1.2)
+    probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=1)
     with pytest.raises(ValueError):
-        markov_plateau(np.linspace(0, 1, 10), np.ones(10), 5.0, 6.0)
+        chain_rayleigh_report(cfg, probes, t_lo=6.0, t_hi=5.0)
+    with pytest.raises(ValueError):
+        chain_rayleigh_report(cfg, probes, t_lo=-1.0, t_hi=5.0)
+    with pytest.raises(ValueError):
+        chain_rayleigh_report(cfg, ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=0))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_rayleigh_plateau_is_the_grid_limit(name):
+    # M = 60, with the edge presets' far probe moved to the last site
+    edge = PRESETS[name].get("site_n") == DEFAULTS["M"]
+    spec = resolve_spec(name, {"M": 60, **({"site_n": 60} if edge else {})})
+    rep = chain_rayleigh_report(spec.network, spec.probes)
+    scale = np.max(np.abs(rep.Gp))
+
+    def grid_error(dt=None):
+        ref = grid_rayleigh_report(spec.network, spec.probes, dt)
+        assert ref.predicts_sync == rep.predicts_sync
+        return np.max(np.abs(rep.Gp - ref.Gp))
+
+    assert grid_error() <= 5e-5 * scale
+    # first order in the grid step: a 4x finer grid is >= 3x closer (from
+    # half the default step, past the coarse grid's second-order term)
+    assert grid_error(0.025 / 4) <= grid_error(0.025) / 3.0
+
+
+def test_rayleigh_report_is_invariant_under_network_relabelling():
+    M, sites = 12, (3, 7)
+    rng = np.random.default_rng(4)
+    A = np.triu(rng.uniform(0.0, 1.5, size=(M, M)) * (rng.random((M, M)) < 0.5), 1)
+    A = A + A.T
+    perm = rng.permutation(M)
+    new_site = np.argsort(perm) + 1  # old site s sits at new_site[s - 1]
+    reports = []
+    for C, (m, n) in ((A, sites), (A[np.ix_(perm, perm)], new_site[[s - 1 for s in sites]])):
+        cfg = NetworkConfig(M=M, omega0=0.4, g=1.2, coupling_matrix=C)
+        probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=int(m), site_n=int(n))
+        reports.append(chain_rayleigh_report(cfg, probes))
+    scale = np.max(np.abs(reports[0].Gp))
+    assert np.max(np.abs(reports[0].Gp - reports[1].Gp)) <= 1e-12 * scale
+    assert reports[0].predicts_sync == reports[1].predicts_sync
 
 
 def test_resonant_mode_indices():
