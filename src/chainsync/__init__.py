@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .dynamics import (
     GaussianState,
     SymplecticMap,
-    chain_ground_state,
     evolve,
     initial_composite_state,
     mean_energy,
@@ -62,7 +61,6 @@ from .modes import (
     ResonantModes,
     SystemModes,
     chain_rayleigh_report,
-    coupling_coefficients,
     damping_kernels,
     ohmic_gap_ratio,
     rayleigh_reduction,

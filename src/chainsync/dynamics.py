@@ -84,27 +84,13 @@ def squeezed_vacuum_local(omega: float, r: float) -> np.ndarray:
     return np.diag([np.exp(-2.0 * r) / (2.0 * omega), omega * np.exp(2.0 * r) / 2.0])
 
 
-def chain_ground_state(cfg: NetworkConfig) -> np.ndarray:
-    """Covariance of the chain vacuum (T = 0) in the site basis, 2M x 2M.
-
-    sigma_xx = O diag(1/(2 Omega_j)) O^T and sigma_pp = O diag(Omega_j/2)
-    O^T with O the chain normal-mode matrix; no x-p correlations.
-    """
-    omegas, O = chain_normal_modes(cfg)
-    sxx = (O / omegas[None, :]) @ O.T / 2.0
-    spp = (O * omegas[None, :]) @ O.T / 2.0
-    M = cfg.M
-    cov = np.zeros((2 * M, 2 * M))
-    cov[:M, :M] = sxx
-    cov[M:, M:] = spp
-    return cov
-
-
 def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> GaussianState:
     """Product state: two local probe states and the chain vacuum.
 
     ``probe_means`` is ((x1, p1), (x2, p2)); ``probe_covs`` two 2x2
-    covariances in local (x, p) ordering.  The chain starts with zero mean.
+    covariances in local (x, p) ordering.  The chain starts with zero mean
+    in its T = 0 state, sigma_xx = O diag(1/(2 Omega_j)) O^T and sigma_pp =
+    O diag(Omega_j/2) O^T with O the chain's modes, uncorrelated in x-p.
     """
     covs = [np.asarray(c, dtype=float) for c in probe_covs]
     for i, c in enumerate(covs):
@@ -125,12 +111,9 @@ def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> Gaus
         cov[i, i] = c[0, 0]
         cov[N + i, N + i] = c[1, 1]
         cov[i, N + i] = cov[N + i, i] = c[0, 1]
-    chain_cov = chain_ground_state(cfg)
-    M = cfg.M
-    cov[2:N, 2:N] = chain_cov[:M, :M]
-    cov[N + 2 :, N + 2 :] = chain_cov[M:, M:]
-    cov[2:N, N + 2 :] = chain_cov[:M, M:]
-    cov[N + 2 :, 2:N] = chain_cov[M:, :M]
+    omegas, O = chain_normal_modes(cfg)
+    cov[2:N, 2:N] = (O / omegas) @ O.T / 2.0
+    cov[N + 2 :, N + 2 :] = (O * omegas) @ O.T / 2.0
     return GaussianState(mean, cov)
 
 
@@ -146,6 +129,22 @@ def phasor_trig(nu, t, z):
 def mode_trig(nu, t):
     """``phasor_trig`` at times t, broadcast over nu and t."""
     return phasor_trig(nu, t, np.exp(1j * (nu * t)))
+
+
+def uniform_step(times) -> float:
+    """Step h of a uniform increasing grid; raises ValueError unless there
+    are two or more samples and each sits on t0 + k h to 1e-6 h."""
+    times = np.asarray(times, dtype=float)
+    n = times.size
+    h = float(times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+    # the offsets are formed in place, as a scenario grid is long
+    off = np.arange(n, dtype=float)
+    off *= -h
+    off += times
+    off -= times[0]
+    if not (h > 0 and np.abs(off, out=off).max(initial=0.0) <= 1e-6 * h):
+        raise ValueError("times must be a uniform increasing grid of two or more samples")
+    return h
 
 
 def phasor_blocks(nu, times):

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import InstabilityError, ZeroModeError
 
 DEFAULT_STABILITY_TOL = 1e-10
+# chain frequencies at or below this count as zero modes
+_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,6 @@ class NetworkConfig:
     M: int
     omega0: float
     g: float
-    boundary: str = "fixed"
     coupling_matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -45,8 +46,6 @@ class NetworkConfig:
             raise ValueError(f"omega0 must be non-negative, got {self.omega0}")
         if self.g <= 0:
             raise ValueError(f"chain stiffness g must be positive, got {self.g}")
-        if self.boundary != "fixed":
-            raise ValueError(f"unsupported boundary {self.boundary!r} (only 'fixed')")
         A = self.coupling_matrix
         if A is not None:
             A = np.asarray(A, dtype=float)
@@ -148,43 +147,53 @@ def chain_dispersion(cfg: NetworkConfig) -> np.ndarray:
     return np.sqrt(cfg.omega0**2 + 4.0 * cfg.g * np.sin(np.pi * j / (2 * (cfg.M + 1))) ** 2)
 
 
-def sine_mode_matrix(M: int) -> np.ndarray:
-    """Orthogonal sine transform O_jk = sqrt(2/(M+1)) sin(pi j k / (M+1))."""
-    j = np.arange(1, M + 1)
-    return np.sqrt(2.0 / (M + 1)) * np.sin(np.pi * np.outer(j, j) / (M + 1))
-
-
-def chain_normal_modes(cfg: NetworkConfig, zero_tol: float = 1e-12):
+def chain_normal_modes(cfg: NetworkConfig | int, sites=None):
     """Chain frequencies and the orthogonal matrix of mode vectors.
 
     Returns ``(omegas, O)`` with ``V_chain = O diag(omegas^2) O^T`` and
-    columns ordered by ascending frequency.  Analytic for the homogeneous
-    chain, numeric for a custom coupling matrix.
+    columns ordered by ascending frequency.  With ``sites`` (1-based), O
+    holds only the rows of those sites.  The homogeneous chain has the
+    sine modes O_kj = sqrt(2/(M+1)) sin(pi k j / (M+1)), O(M) per row; a
+    custom network takes its rows from one ``eigh``.  A bare site count M
+    stands for the homogeneous chain, whose modes do not depend on
+    Omega_0 or g; ``omegas`` is then None.
     """
-    if cfg.coupling_matrix is None:
+    bare = not isinstance(cfg, NetworkConfig)
+    M = int(cfg) if bare else cfg.M
+    j = np.arange(1, M + 1)
+    rows = j if sites is None else np.asarray(sites, dtype=int)
+    if np.any((rows < 1) | (rows > M)):
+        raise ValueError(f"chain sites {rows.tolist()} outside [1, {M}]")
+    if bare or cfg.coupling_matrix is None:
+        O = np.sqrt(2.0 / (M + 1)) * np.sin(np.pi * np.outer(rows, j) / (M + 1))
+        if bare:
+            return None, O
         omegas = chain_dispersion(cfg)
-        O = sine_mode_matrix(cfg.M)
     else:
         evals, O = np.linalg.eigh(build_chain_potential(cfg))
-        if np.any(evals < -zero_tol):
+        if np.any(evals < -_ZERO_TOL):
             raise ZeroModeError("custom network potential is not positive semidefinite")
         omegas = np.sqrt(np.clip(evals, 0.0, None))
-    if np.any(omegas <= zero_tol):
+        O = O[rows - 1]
+    if np.any(omegas <= _ZERO_TOL):
         raise ZeroModeError(
             f"chain has a zero-frequency mode (min Omega = {omegas.min():.3e})"
         )
     return omegas, O
 
 
-def max_group_velocity(cfg: NetworkConfig, samples: int = 4096) -> float:
+def max_group_velocity(cfg: NetworkConfig) -> float:
     """Largest group velocity d Omega / d k of the chain band.
 
     Used to estimate signal travel times: the first boundary echo returns
     near t = 2 M / v_g and edge-to-edge cross-talk starts near M / v_g.
+    With Omega^2 = a + b sin^2(k/2), a = Omega_0^2 and b = 4 g, the exact
+    maximum is v^2 = 4 g^2 / ((1 + sqrt(a/(a+b))) (a + sqrt(a^2+ab) + b)),
+    which is g at Omega_0 = 0.
     """
-    k = np.linspace(1e-6, np.pi - 1e-6, samples)
-    omega = np.sqrt(cfg.omega0**2 + 4.0 * cfg.g * np.sin(k / 2) ** 2)
-    return float(np.max(cfg.g * np.sin(k) / omega))
+    a, b = cfg.omega0**2, 4.0 * cfg.g
+    v2 = 4.0 * cfg.g**2 / ((1.0 + np.sqrt(a / (a + b))) * (a + np.sqrt(a * a + a * b) + b))
+    return float(np.sqrt(v2))
 
 
 def revival_time(cfg: NetworkConfig) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import phasor_blocks
+from .dynamics import phasor_blocks, uniform_step
 from .errors import StepTooLarge, ZeroModeError
 from .lattice import NetworkConfig, ProbePair, chain_normal_modes, revival_time
 
@@ -57,23 +57,11 @@ def mode_rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def coupling_coefficients(
-    theta: float, K: float, site_m: int, site_n: int, M: int, sign2: int = 1
-):
-    """Per-mode coupling amplitudes c1(j), c2(j) of the two probe normal
-    modes to the chain normal modes, for plugging sites (m, n).
-
-    Both arrays carry the prefactor K sqrt(2/(M+1)); ``sign2 = -1``
-    realizes the repulsive variant of the second probe's coupling.
-    """
-    j = np.arange(1, M + 1)
-    sm = np.sin(np.pi * j * site_m / (M + 1))
-    sn = np.sin(np.pi * j * site_n / (M + 1))
-    pref = K * math.sqrt(2.0 / (M + 1))
-    c, s = math.cos(theta), math.sin(theta)
-    c1 = pref * (c * sm + sign2 * s * sn)
-    c2 = pref * (-s * sm + sign2 * c * sn)
-    return c1, c2
+def _site_couplings(network: NetworkConfig | int, probes: ProbePair):
+    """Chain frequencies and the probes' site couplings C = K [O[site_m - 1];
+    sign2 O[site_n - 1]] (2 x M) from the chain's modes O."""
+    omegas, O = chain_normal_modes(network, (probes.site_m, probes.site_n))
+    return omegas, probes.K * O * np.array([[1.0], [probes.sign2]])
 
 
 @dataclass(frozen=True)
@@ -88,15 +76,15 @@ class SystemModes:
     degenerate_angle: bool = False
 
 
-def system_modes(probes: ProbePair, M: int) -> SystemModes:
-    """Assemble the full normal-mode description for a probe pair."""
-    probes.validate_sites(M)
+def system_modes(probes: ProbePair, network: NetworkConfig | int) -> SystemModes:
+    """Assemble the full normal-mode description for a probe pair: the
+    per-mode couplings (c1, c2) of the probe normal modes to the chain
+    modes are the site couplings rotated by theta.  An int ``network`` is
+    the homogeneous chain of that many sites."""
     degenerate = angle_is_degenerate(probes.omega1, probes.omega2, probes.lam)
     theta = system_mode_angle(probes.omega1, probes.omega2, probes.lam)
     L1, L2 = system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam)
-    c1, c2 = coupling_coefficients(
-        theta, probes.K, probes.site_m, probes.site_n, M, probes.sign2
-    )
+    c1, c2 = mode_rotation(theta) @ _site_couplings(network, probes)[1]
     return SystemModes(theta, L1, L2, c1, c2, degenerate)
 
 
@@ -120,7 +108,8 @@ class Kernels:
 
     @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+        """Grid step; raises ValueError on a non-uniform grid."""
+        return uniform_step(self.times)
 
 
 def damping_kernels(
@@ -256,10 +245,7 @@ def chain_rayleigh_report(
     if eval_freq is None:
         L1, L2 = system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam)
         eval_freq = 0.5 * (L1 + L2)
-    probes.validate_sites(cfg.M)
-    omegas, O = chain_normal_modes(cfg)
-    c1 = probes.K * O[probes.site_m - 1]
-    c2 = probes.sign2 * probes.K * O[probes.site_n - 1]
+    omegas, (c1, c2) = _site_couplings(cfg, probes)
     sigma, delta = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
     a = np.stack([omegas - eval_freq, omegas + eval_freq])
     P = 0.5 * sigma * np.sum(np.sinc(a * (sigma / np.pi)) * np.sinc(a * (delta / np.pi)), axis=0)
@@ -314,8 +300,8 @@ def solve_gqle_means(
               + int_0^t [gamma_s(t-t') qd_s(t') + eta(t-t') qd_sbar(t')] dt'
               = -gamma_s(t) q_s(0) - eta(t) q_sbar(0)
 
-    The convolution uses the trapezoidal rule on the shared kernel grid
-    and the stepper is Heun's method, so the scheme converges at second
+    The convolution uses the trapezoidal rule on the shared kernel grid,
+    which must be uniform with step ``dt``, and the stepper is Heun's method, so the scheme converges at second
     order in dt.  Returns (times, q, qdot) with q of shape (n+1, 2).
     """
     if dt > (2.0 * np.pi / Lambda2) / 20.0:

@@ -406,7 +406,7 @@ def simulate(spec: ScenarioSpec) -> SimulationData:
     cfg, probes = spec.network, spec.probes
     engine, times = _prepare(spec)
     X, P = engine.mean_series(times)
-    modes = system_modes(probes, cfg.M)
+    modes = system_modes(probes, cfg)
     R = mode_rotation(modes.theta)
     Q = X @ R.T
 

@@ -44,7 +44,6 @@ class NormalModeTrajectory:
     ):
         if state.n_modes != qf.dim:
             raise ValueError("state and potential dimensions differ")
-        self.qf = qf
         self.nu, self.O, self.min_eigenvalue = spectrum(qf, stability_tol, check)
         O = self.O
         N = qf.dim

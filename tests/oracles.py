@@ -20,6 +20,20 @@ from chainsync import (
 from chainsync.modes import probe_stiffness
 
 
+def sine_mode_matrix(M: int) -> np.ndarray:
+    """Dense orthogonal sine transform O_jk = sqrt(2/(M+1)) sin(pi j k / (M+1)),
+    the homogeneous chain's modes."""
+    j = np.arange(1, M + 1)
+    return np.sqrt(2.0 / (M + 1)) * np.sin(np.pi * np.outer(j, j) / (M + 1))
+
+
+def group_velocity_grid(omega0, g, samples=1_000_001) -> float:
+    """Largest d Omega / d k = g sin k / Omega(k) of the chain band, sampled
+    on a dense grid of k in (0, pi]."""
+    k = np.linspace(0.0, np.pi, samples)[1:]
+    return float(np.max(g * np.sin(k) / np.sqrt(omega0**2 + 4.0 * g * np.sin(k / 2) ** 2)))
+
+
 def rk4_reference(
     state: GaussianState, qf: QuadraticForm, horizon: float, dt: float
 ) -> GaussianState:

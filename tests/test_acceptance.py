@@ -375,7 +375,7 @@ def test_criterion_9d_exact_vs_rk4():
 
 def test_criterion_9e_gqle_vs_exact():
     spec = resolve_spec("fig2_dissipation")
-    modes = system_modes(spec.probes, spec.network.M)
+    modes = system_modes(spec.probes, spec.network)
     omegas, _ = chain_normal_modes(spec.network)
     horizon, dt = 200.0, 0.008
     grid = np.arange(0.0, horizon + 3 * dt, dt)

@@ -10,7 +10,6 @@ from chainsync import (
     StepTooLarge,
     UncertaintyViolation,
     assemble_full_potential,
-    chain_ground_state,
     evolve,
     initial_composite_state,
     mean_energy,
@@ -58,9 +57,16 @@ def test_squeezed_vacuum_values():
         squeezed_vacuum_local(0.0, 1.0)
 
 
+def chain_vacuum(cfg):
+    """Chain block (2M x 2M, positions then momenta) of the initial state."""
+    vac = (squeezed_vacuum_local(1.0, 0.0), squeezed_vacuum_local(1.1, 0.0))
+    state = initial_composite_state(((0.0, 0.0), (0.0, 0.0)), vac, cfg)
+    return reduce(state, range(2, cfg.M + 2)).cov
+
+
 def test_chain_ground_state_decoupled_limit():
     cfg = NetworkConfig(M=4, omega0=0.7, g=1e-9)
-    cov = chain_ground_state(cfg)
+    cov = chain_vacuum(cfg)
     assert np.allclose(cov[:4, :4], np.eye(4) / 1.4, atol=1e-8)
     assert np.allclose(cov[4:, 4:], 0.35 * np.eye(4), atol=1e-8)
     assert np.allclose(cov[:4, 4:], 0.0)
@@ -69,7 +75,7 @@ def test_chain_ground_state_decoupled_limit():
 def test_chain_ground_state_is_the_ground_state():
     # the T=0 state satisfies sigma_pp = V sigma_xx with sigma_xp = 0 and is pure
     cfg = NetworkConfig(M=7, omega0=0.5, g=1.1)
-    cov = chain_ground_state(cfg)
+    cov = chain_vacuum(cfg)
     M = cfg.M
     from chainsync.lattice import build_chain_potential
 
@@ -81,7 +87,7 @@ def test_chain_ground_state_is_the_ground_state():
 
 def test_chain_ground_state_two_sites_bruteforce():
     cfg = NetworkConfig(M=2, omega0=0.9, g=0.6)
-    cov = chain_ground_state(cfg)
+    cov = chain_vacuum(cfg)
     # brute-force two-mode diagonalization with explicit 2x2 rotation
     from chainsync.lattice import build_chain_potential
 

@@ -16,6 +16,8 @@ from chainsync import (
     revival_time,
 )
 
+from oracles import group_velocity_grid, sine_mode_matrix
+
 
 def dispersion_oracle(M, omega0, g):
     # independent evaluation of the fixed-end chain band
@@ -188,8 +190,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(M=4, omega0=0.4, g=0.0)
     with pytest.raises(ValueError):
-        NetworkConfig(M=4, omega0=0.4, g=1.0, boundary="open")
-    with pytest.raises(ValueError):
         NetworkConfig(M=3, omega0=0.4, g=1.0, coupling_matrix=np.ones((3, 3)))
     with pytest.raises(ValueError):
         ProbePair(omega2=1.1, lam=-0.1, K=0.2, site_m=1, site_n=1)
@@ -204,4 +204,49 @@ def test_revival_and_group_velocity():
     assert revival_time(cfg) == 600.0
     # with no on-site pinning the band velocity is sqrt(g)
     free = NetworkConfig(M=50, omega0=0.0, g=2.25)
-    assert max_group_velocity(free) == pytest.approx(1.5, abs=1e-3)
+    assert max_group_velocity(free) == 1.5
+
+
+@pytest.mark.parametrize(
+    "omega0, g", [(0.4, 1.2), (2.0, 0.5), (0.0, 1.0), (0.0, 2.25), (1e-3, 3.0), (5.0, 0.01)]
+)
+def test_group_velocity_closed_form_matches_dense_grid(omega0, g):
+    v = max_group_velocity(NetworkConfig(M=10, omega0=omega0, g=g))
+    # the old 4096-point grid read 4.8e-8 low at (2.0, 0.5)
+    assert v == pytest.approx(group_velocity_grid(omega0, g), rel=1e-10)
+
+
+def test_sine_mode_rows_match_the_dense_transform():
+    for M in (2, 7, 60, 301):
+        cfg = NetworkConfig(M=M, omega0=0.4, g=1.2)
+        ref = sine_mode_matrix(M)
+        _, O = chain_normal_modes(cfg)
+        assert np.array_equal(O, ref)
+        sites = [1, M, (M + 1) // 2, 1]
+        omegas, rows = chain_normal_modes(cfg, sites)
+        assert np.array_equal(rows, ref[np.array(sites) - 1])
+        assert np.array_equal(omegas, chain_dispersion(cfg))
+        # a bare site count is the same chain, without frequencies
+        none, bare = chain_normal_modes(M, sites)
+        assert none is None and np.array_equal(bare, rows)
+
+
+def test_custom_network_rows_are_rows_of_one_eigh():
+    M = 12
+    rng = np.random.default_rng(4)
+    A = np.triu(rng.uniform(0.0, 1.5, size=(M, M)) * (rng.random((M, M)) < 0.5), 1)
+    cfg = NetworkConfig(M=M, omega0=0.4, g=1.2, coupling_matrix=A + A.T)
+    omegas, O = chain_normal_modes(cfg)
+    rows_omegas, rows = chain_normal_modes(cfg, (3, 7))
+    assert np.array_equal(rows, O[[2, 6]])
+    assert np.array_equal(rows_omegas, omegas)
+
+
+def test_chain_mode_rows_reject_sites_off_the_chain():
+    cfg = NetworkConfig(M=6, omega0=0.4, g=1.2)
+    A = np.ones((6, 6)) - np.eye(6)
+    custom = NetworkConfig(M=6, omega0=0.4, g=1.2, coupling_matrix=A)
+    for net in (cfg, custom, 6):
+        for sites in ((0, 3), (1, 7)):
+            with pytest.raises(ValueError):
+                chain_normal_modes(net, sites)

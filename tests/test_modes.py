@@ -10,7 +10,6 @@ from chainsync import (
     ZeroModeError,
     chain_normal_modes,
     chain_rayleigh_report,
-    coupling_coefficients,
     damping_kernels,
     initial_composite_state,
     ohmic_gap_ratio,
@@ -23,7 +22,7 @@ from chainsync import (
     system_modes,
 )
 from chainsync.dynamics import _TIME_CHUNK
-from chainsync.lattice import assemble_full_potential
+from chainsync.lattice import assemble_full_potential, build_chain_potential
 from chainsync.modes import (
     SystemModes,
     angle_is_degenerate,
@@ -36,6 +35,19 @@ from chainsync.trajectory import NormalModeTrajectory
 from oracles import cosine_kernels, grid_rayleigh_report
 
 FIG2 = dict(omega1=1.0, omega2=1.1, lam=0.5)
+
+
+def rotated_couplings(theta, K, site_m, site_n, M, sign2=1):
+    """(c1, c2): the site couplings K [O[m-1]; sign2 O[n-1]] of the chain's
+    modes O, rotated into the probe normal modes."""
+    _, O = chain_normal_modes(NetworkConfig(M=M, omega0=0.4, g=1.2), (site_m, site_n))
+    return mode_rotation(theta) @ (K * np.array([O[0], sign2 * O[1]]))
+
+
+def random_network(M, seed):
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.uniform(0.0, 1.5, size=(M, M)) * (rng.random((M, M)) < 0.5), 1)
+    return A + A.T
 
 
 def test_angle_limits():
@@ -92,24 +104,38 @@ def test_rotation_diagonalizes_probe_block_random():
 
 
 def test_coupling_coefficients_limits():
-    c1, c2 = coupling_coefficients(0.3, 0.0, 1, 4, 12)
+    c1, c2 = rotated_couplings(0.3, 0.0, 1, 4, 12)
     assert np.all(c1 == 0.0) and np.all(c2 == 0.0)
     M, K = 10, 0.4
-    c1, c2 = coupling_coefficients(0.0, K, 1, 7, M)
+    c1, c2 = rotated_couplings(0.0, K, 1, 7, M)
     j = np.arange(1, M + 1)
     pref = math.sqrt(2.0 * K**2 / (M + 1))
     assert np.allclose(c1, pref * np.sin(np.pi * j / (M + 1)), rtol=1e-14)
     assert np.allclose(c2, pref * np.sin(np.pi * j * 7 / (M + 1)), rtol=1e-14)
     # equal plugging sites at theta = pi/4 decouple the second mode
-    c1, c2 = coupling_coefficients(math.pi / 4, K, 3, 3, M)
+    c1, c2 = rotated_couplings(math.pi / 4, K, 3, 3, M)
     assert np.allclose(c2, 0.0, atol=1e-16)
     assert np.allclose(c1, math.sqrt(2.0) * pref * np.sin(np.pi * j * 3 / (M + 1)), rtol=1e-12)
+
+
+def test_system_modes_rotate_the_site_couplings():
+    cfg = NetworkConfig(M=14, omega0=0.4, g=1.2)
+    for sign2 in (1, -1):
+        probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=3, site_n=11, sign2=sign2)
+        modes = system_modes(probes, cfg)
+        c1, c2 = rotated_couplings(modes.theta, 0.2, 3, 11, cfg.M, sign2)
+        assert np.array_equal(modes.c1, c1) and np.array_equal(modes.c2, c2)
+        # a bare site count is the same homogeneous chain
+        bare = system_modes(probes, cfg.M)
+        assert np.array_equal(bare.c1, c1) and np.array_equal(bare.c2, c2)
+    with pytest.raises(ValueError):
+        system_modes(ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=3, site_n=15), cfg)
 
 
 def test_opposite_edges_cross_kernel_vanishes():
     M = 64
     omegas, _ = chain_normal_modes(NetworkConfig(M=M, omega0=0.4, g=1.2))
-    c1, c2 = coupling_coefficients(0.0, 0.2, 1, M, M)
+    c1, c2 = rotated_couplings(0.0, 0.2, 1, M, M)
     modes = SystemModes(0.0, 1.0, 1.1, c1, c2)
     t_ct = M / 0.92  # first cross-talk arrival at the band velocity
     times = np.arange(0.0, t_ct, 0.02)
@@ -133,7 +159,7 @@ def test_kernel_zero_values_match_direct_sums():
     cfg = NetworkConfig(M=300, omega0=0.4, g=1.2)
     omegas, _ = chain_normal_modes(cfg)
     probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=1)
-    modes = system_modes(probes, cfg.M)
+    modes = system_modes(probes, cfg)
     kern = damping_kernels(modes, omegas, np.arange(0.0, 5.0, 0.1))
     # direct-summation oracle
     g1 = float(np.sum(modes.c1**2 / omegas**2))
@@ -149,8 +175,9 @@ def test_kernel_zero_values_match_direct_sums():
 
 
 def test_common_site_theta_pi4_kills_gamma2():
-    omegas, _ = chain_normal_modes(NetworkConfig(M=16, omega0=0.5, g=1.0))
-    modes = system_modes(ProbePair(omega1=1.0, omega2=1.0, lam=0.4, K=0.3, site_m=4, site_n=4), 16)
+    cfg = NetworkConfig(M=16, omega0=0.5, g=1.0)
+    omegas, _ = chain_normal_modes(cfg)
+    modes = system_modes(ProbePair(omega1=1.0, omega2=1.0, lam=0.4, K=0.3, site_m=4, site_n=4), cfg)
     assert modes.theta == pytest.approx(math.pi / 4)
     kern = damping_kernels(modes, omegas, np.linspace(0, 10, 100))
     assert np.allclose(kern.gamma2, 0.0, atol=1e-18)
@@ -158,18 +185,53 @@ def test_common_site_theta_pi4_kills_gamma2():
 
 def test_kernel_symmetry_under_mode_swap():
     omegas, _ = chain_normal_modes(NetworkConfig(M=12, omega0=0.4, g=1.2))
-    c1, c2 = coupling_coefficients(0.4, 0.3, 2, 9, 12)
+    c1, c2 = rotated_couplings(0.4, 0.3, 2, 9, 12)
     times = np.linspace(0, 15, 150)
     k12 = damping_kernels(SystemModes(0.4, 1.0, 1.2, c1, c2), omegas, times)
     k21 = damping_kernels(SystemModes(0.4, 1.0, 1.2, c2, c1), omegas, times)
     assert np.array_equal(k12.eta, k21.eta)
 
 
+@pytest.mark.parametrize("sign2", [1, -1])
+def test_custom_network_kernels_at_zero_are_the_inverse_potential(sign2):
+    # gamma(0) = sum_j c c^T / Omega_j^2 = K^2 R(theta) [(V_c^-1)_ab] R(theta)^T
+    M, (m, n) = 12, (3, 7)
+    cfg = NetworkConfig(M=M, omega0=0.4, g=1.2, coupling_matrix=random_network(M, 4))
+    probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=m, site_n=n, sign2=sign2)
+    modes = system_modes(probes, cfg)
+    omegas, _ = chain_normal_modes(cfg)
+    kern = damping_kernels(modes, omegas, np.linspace(0.0, 5.0, 11))
+    Vi = np.linalg.inv(build_chain_potential(cfg))
+    S = np.diag([1.0, sign2])
+    R = mode_rotation(modes.theta)
+    G0 = probes.K**2 * R @ S @ Vi[np.ix_([m - 1, n - 1], [m - 1, n - 1])] @ S @ R.T
+    got = np.array([[kern.gamma1_0, kern.eta_0], [kern.eta_0, kern.gamma2_0]])
+    assert np.max(np.abs(got - G0)) <= 1e-12 * np.max(np.abs(G0))
+    assert kern.gamma1[0] == pytest.approx(kern.gamma1_0, rel=1e-12)
+
+
+def test_kernels_are_invariant_under_network_relabelling():
+    M, sites = 12, (3, 7)
+    A = random_network(M, 4)
+    perm = np.random.default_rng(9).permutation(M)
+    new_site = np.argsort(perm) + 1  # old site s sits at new_site[s - 1]
+    times = np.linspace(0.0, 30.0, 301)
+    kernels = []
+    for C, (m, n) in ((A, sites), (A[np.ix_(perm, perm)], new_site[[s - 1 for s in sites]])):
+        cfg = NetworkConfig(M=M, omega0=0.4, g=1.2, coupling_matrix=C)
+        probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=int(m), site_n=int(n))
+        omegas, _ = chain_normal_modes(cfg)
+        kernels.append(damping_kernels(system_modes(probes, cfg), omegas, times))
+    for name in ("gamma1", "gamma2", "eta"):
+        a, b = getattr(kernels[0], name), getattr(kernels[1], name)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
 @pytest.mark.parametrize("grid", ["non_uniform", "one_off_grid", "not_a_block_multiple"])
 def test_kernels_match_direct_cosine_sums(grid):
     cfg = NetworkConfig(M=40, omega0=0.4, g=1.2)
     omegas, _ = chain_normal_modes(cfg)
-    modes = system_modes(ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=3, site_n=17), cfg.M)
+    modes = system_modes(ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=3, site_n=17), cfg)
     if grid == "non_uniform":
         times = np.sort(np.random.default_rng(5).uniform(0.0, 300.0, size=700))
     elif grid == "one_off_grid":
@@ -357,10 +419,31 @@ def test_gqle_step_guard_and_grid_checks():
         solve_gqle_means(fine, 1.0, 1.4, (1, 0), (0, 0), 0.5, 0.02)  # step mismatch
 
 
+def test_gqle_rejects_a_non_uniform_kernel_grid():
+    cfg = NetworkConfig(M=8, omega0=0.7, g=1.0)
+    probes = ProbePair(omega2=1.1, lam=0.5, K=0.25, site_m=1, site_n=1)
+    modes = system_modes(probes, cfg)
+    omegas, _ = chain_normal_modes(cfg)
+    # one step of 0.01, then steps of 0.02: t1 - t0 equals dt, the grid is not uniform
+    skewed = np.concatenate([[0.0], 0.01 + 0.02 * np.arange(1001)])
+    kern = damping_kernels(modes, omegas, skewed)
+    with pytest.raises(ValueError):
+        solve_gqle_means(kern, modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0, 0), 10.0, 0.01)
+    # the long arange grid of the criterion-9e run is uniform to round-off
+    dt, horizon = 0.008, 200.0
+    grid = np.arange(0.0, horizon + 3 * dt, dt)
+    assert grid.size > 25_001
+    kern = damping_kernels(modes, omegas, grid)
+    times, q, _ = solve_gqle_means(
+        kern, modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0, 0), 2.0, dt
+    )
+    assert times.size == 251 and np.all(np.isfinite(q))
+
+
 def _gqle_vs_exact_error(dt, horizon=30.0):
     cfg = NetworkConfig(M=8, omega0=0.7, g=1.0)
     probes = ProbePair(omega2=1.1, lam=0.5, K=0.25, site_m=1, site_n=1)
-    modes = system_modes(probes, cfg.M)
+    modes = system_modes(probes, cfg)
     omegas, _ = chain_normal_modes(cfg)
     tgrid = np.arange(0.0, horizon + 3 * dt, dt)
     kern = damping_kernels(modes, omegas, tgrid)
