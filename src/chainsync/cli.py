@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, InstabilityError, UnknownKey
+from .errors import ConfigError, InstabilityError
 from .lattice import assemble_full_potential, check_stability
 from .scenarios import (
     DEFAULTS,
     KEY_SPECS,
     PRESETS,
     format_config,
+    parse_setting,
     read_config,
     resolve_spec,
     run_scenario,
@@ -46,22 +47,11 @@ def _build_spec(args):
         with open(args.config) as fh:
             preset, overrides = read_config(fh.read())
     for item in args.sets:
-        if "=" not in item:
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "preset":
-            preset = value
-            continue
-        if key not in KEY_SPECS:
-            raise UnknownKey(f"unknown key {key!r}")
-        _, parser = KEY_SPECS[key]
-        try:
-            overrides[key] = parser(value)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    return resolve_spec(preset, overrides)
+        overrides[key] = parse_setting(key, value)
+    return resolve_spec(overrides.pop("preset", preset), overrides)
 
 
 def _cmd_run(args) -> int:

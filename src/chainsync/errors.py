@@ -48,11 +48,12 @@ class ConfigError(ChainSyncError):
 
 
 class ParseError(ConfigError):
-    """Malformed config text; carries the offending line number."""
+    """Malformed config text; carries the offending line number (None for
+    a setting given outside a config file)."""
 
     def __init__(self, lineno, message):
         self.lineno = lineno
-        super().__init__(f"line {lineno}: {message}")
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
 
 
 class UnknownKey(ConfigError):

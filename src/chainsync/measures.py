@@ -73,12 +73,36 @@ class SyncSeries:
         return self.values[mask]
 
 
+def window_samples(window, stride, delay, dt):
+    """(window, stride, delay) of a sync series in samples of step ``dt``.
+
+    The window must hold at least MIN_WINDOW_SAMPLES samples, the stride
+    must be a whole multiple of ``dt`` and the delay a multiple of it;
+    otherwise ValueError.
+    """
+    ratios = (window / dt, stride / dt, delay / dt)
+    if not all(map(math.isfinite, ratios)):
+        raise ValueError(f"window {window}, stride {stride} and delay {delay} "
+                         f"must be finite numbers of samples of step {dt}")
+    w, step, d = map(round, ratios)
+    if w + 1 < MIN_WINDOW_SAMPLES:
+        raise ValueError(f"window {window} holds fewer than {MIN_WINDOW_SAMPLES} samples "
+                         f"of step {dt}")
+    if step < 1 or abs(stride - step * dt) > 1e-9 * stride:
+        raise ValueError(f"stride {stride} is not a whole multiple of the sample step {dt}")
+    if abs(delay - d * dt) > 1e-9 * max(dt, abs(delay)):
+        raise ValueError(f"delay {delay} is not a multiple of the sample step {dt}")
+    return w, step, d
+
+
 def sync_series(times, f, g, window, stride, delay: float = 0.0) -> SyncSeries:
     """Sliding-window Pearson correlation of f(t) against g(t + delay).
 
-    ``times`` must be a uniform grid and the delay a multiple of its
-    step; windows that would run past the data are dropped, and
-    degenerate windows are stored as NaN rather than aborting the series.
+    ``times`` must be a uniform grid of step dt that ``window_samples``
+    accepts.  Windows start every stride / dt samples from times[0];
+    those whose f or delayed g samples would run past the data are
+    dropped, and degenerate windows are stored as NaN rather than
+    aborting the series.
     """
     times = np.asarray(times, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -86,14 +110,7 @@ def sync_series(times, f, g, window, stride, delay: float = 0.0) -> SyncSeries:
     if not (times.size == f.size == g.size):
         raise ValueError("times, f, g must have equal length")
     # windows are counted in samples, so every time must sit on t0 + k dt
-    dt = uniform_step(times)
-    d = int(round(delay / dt))
-    if abs(delay - d * dt) > 1e-9 * max(dt, abs(delay)):
-        raise ValueError(f"delay {delay} is not a multiple of the sample step {dt}")
-    w = int(round(window / dt))
-    if w + 1 < MIN_WINDOW_SAMPLES:
-        raise ValueError(f"window {window} holds fewer than {MIN_WINDOW_SAMPLES} samples")
-    step = max(1, int(round(stride / dt)))
+    w, step, d = window_samples(window, stride, delay, uniform_step(times))
     starts, values = [], []
     i = 0
     while i + w < times.size:

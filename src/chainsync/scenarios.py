@@ -26,11 +26,11 @@ from .lattice import (
     revival_time,
 )
 from .measures import (
-    MIN_WINDOW_SAMPLES,
     CorrelationReport,
     SyncSeries,
     correlation_report,
     sync_series,
+    window_samples,
 )
 from .modes import (
     RayleighReport,
@@ -201,13 +201,34 @@ class ScenarioSpec:
         }
 
 
+def parse_setting(key: str, value: str, lineno: int | None = None):
+    """Parsed value of one ``key = value`` setting.
+
+    ``preset`` yields the preset name.  An unknown preset raises
+    RangeError, an unknown key UnknownKey and a malformed value ParseError;
+    with ``lineno`` the message names the config line.
+    """
+    where = "" if lineno is None else f"line {lineno}: "
+    if key == "preset":
+        if value not in PRESETS:
+            raise RangeError(
+                f"{where}unknown preset {value!r} (choose from {', '.join(sorted(PRESETS))})"
+            )
+        return value
+    if key not in KEY_SPECS:
+        raise UnknownKey(f"{where}unknown key {key!r}")
+    try:
+        return KEY_SPECS[key][1](value)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
+
+
 def read_config(text: str):
     """Parse config text into (preset, overrides) without resolving.
 
     Line-oriented ``key = value`` with ``[section]`` headers and ``#``
     comments; keys given before any header are looked up globally.
     """
-    preset = None
     overrides: dict = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -226,27 +247,12 @@ def read_config(text: str):
             raise ParseError(lineno, f"expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key == "preset":
-            if value not in PRESETS:
-                raise RangeError(
-                    f"line {lineno}: unknown preset {value!r} "
-                    f"(choose from {', '.join(sorted(PRESETS))})"
-                )
-            preset = value
-            continue
-        if key not in KEY_SPECS:
-            raise UnknownKey(f"line {lineno}: unknown key {key!r}")
-        key_section, parser = KEY_SPECS[key]
-        if section is not None and section != key_section:
+        if section is not None and key in KEY_SPECS and KEY_SPECS[key][0] != section:
             raise UnknownKey(
-                f"line {lineno}: key {key!r} belongs to [{key_section}], not [{section}]"
+                f"line {lineno}: key {key!r} belongs to [{KEY_SPECS[key][0]}], not [{section}]"
             )
-        try:
-            overrides[key] = parser(value)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc))
-    return preset, overrides
+        overrides[key] = parse_setting(key, value.strip(), lineno)
+    return overrides.pop("preset", None), overrides
 
 
 def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioSpec:
@@ -260,6 +266,9 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
         if key not in KEY_SPECS:
             raise UnknownKey(f"unknown key {key!r}")
         values[key] = val
+    for key, val in values.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise RangeError(f"{key} must be finite, got {val}")
 
     try:
         network = NetworkConfig(M=values["M"], omega0=values["omega0"], g=values["g"])
@@ -278,24 +287,28 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     for key in ("horizon", "dt", "dt_cov", "window", "stride"):
         if values[key] <= 0:
             raise RangeError(f"{key} must be positive, got {values[key]}")
-    if values["K"] < 0:
-        raise RangeError(f"K must be non-negative, got {values['K']}")
-    # the sampling rules sync_series applies to the mean and variance grids
+    w1, w2, w0, lam, g, K = (values[k] for k in ("omega1", "omega2", "omega0", "lambda", "g", "K"))
+    if K < 0:
+        raise RangeError(f"K must be non-negative, got {K}")
     window, stride, delay = values["window"], values["stride"], values["delay"]
     if values["horizon"] < window:
         raise RangeError(f"horizon {values['horizon']} is shorter than the window {window}")
-    for key in ("dt", "dt_cov"):
-        step = values[key]
-        if round(window / step) + 1 < MIN_WINDOW_SAMPLES:
-            raise RangeError(
-                f"window {window} holds fewer than {MIN_WINDOW_SAMPLES} samples "
-                f"at {key}={step}"
-            )
-        n_steps = round(stride / step)
-        if n_steps < 1 or abs(stride - n_steps * step) > 1e-9 * stride:
-            raise RangeError(f"stride {stride} is not a whole multiple of {key}={step}")
-        if abs(delay - round(delay / step) * step) > 1e-9 * abs(delay):
-            raise RangeError(f"delay {delay} is not a multiple of {key}={step}")
+    # Gershgorin bound nu_bar on the fastest normal frequency; the variances
+    # carry 2 nu.  A probe's 2x2 principal minor of V already shows a form
+    # with K^2 >= (omega^2 + lambda)(omega0^2 + 2g) unstable, and that is
+    # left to the stability check.
+    nu_bar2 = max(max(w1 * w1, w2 * w2) + 2 * lam + K, w0 * w0 + 4 * g + 2 * K)
+    if not math.isfinite(2 * nu_bar2):  # entries of V + V^T would overflow
+        raise RangeError("omega1, omega2, omega0, lambda, g or K too large: V overflows")
+    nu_bar = math.sqrt(nu_bar2)
+    can_be_stable = K * K < (min(w1 * w1, w2 * w2) + lam) * (w0 * w0 + 2 * g)
+    for key, limit in (("dt", math.pi / nu_bar), ("dt_cov", math.pi / (2 * nu_bar))):
+        if can_be_stable and values[key] > limit:
+            raise RangeError(f"{key}={values[key]} aliases the fastest mode (limit {limit:.6g})")
+        try:
+            window_samples(window, stride, delay, values[key])
+        except ValueError as exc:
+            raise RangeError(f"{exc} ({key})") from None
     if values["squeeze_axis"] not in ("position", "momentum"):
         raise RangeError(f"squeeze_axis must be 'position' or 'momentum'")
     M = network.M
@@ -479,14 +492,16 @@ def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    """Write equal-length columns as ``.11e`` CSV rows.
+    """Write equal-length columns as CSV rows: integer columns with
+    ``%d``, all others as ``.11e``.
 
     Each block of rows is formatted by one ``%`` operation, which prints
     exactly what ``_fmt`` prints per value (nan, inf and -0.0 included);
     blocks bound the size of the text held in memory.
     """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.11e" for c in columns) + "\n"
     table = np.column_stack(columns)
-    row = ",".join(["%.11e"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, table.shape[0], _CSV_BLOCK_ROWS):
@@ -494,11 +509,43 @@ def _write_csv(path: Path, header: str, columns) -> None:
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _matched_series(primary: SyncSeries, other: SyncSeries):
-    """Values of ``other`` aligned on ``primary`` window starts (NaN when
-    a start has no counterpart, e.g. incommensurate grids)."""
-    lookup = {round(t, 9): v for t, v in zip(other.times, other.values)}
-    return np.array([lookup.get(round(t, 9), math.nan) for t in primary.times])
+def _record_text(fields) -> str:
+    """``key = value`` lines: floats as ``.11e`` (inf and nan included),
+    anything else by ``str``."""
+    return "".join(f"{k} = {_fmt(v) if isinstance(v, float) else v}\n" for k, v in fields)
+
+
+def _write_outputs(spec, out_dir, files, record_name, fields, summary, data=None) -> RunRecord:
+    """Write config.txt, then ``files``, then the record file, into the
+    output directory.
+
+    ``files`` holds (name, content) pairs, content being text or the
+    (header, columns) of a CSV.  The record starts with version,
+    config_hash and preset, followed by ``fields``.  A failure while
+    writing removes every file written before re-raising.
+    """
+    from . import __version__
+
+    out = Path(out_dir if out_dir is not None else spec.run.out)
+    config_text = format_config(spec)
+    config_hash = hashlib.sha256(config_text.encode()).hexdigest()
+    header = [("version", __version__), ("config_hash", config_hash), ("preset", spec.preset)]
+    record = _record_text([*header, *fields])
+    out.mkdir(parents=True, exist_ok=True)
+    written: list = []
+    try:
+        for name, content in [("config.txt", config_text), *files, (record_name, record)]:
+            path = out / name
+            written.append(path)
+            if isinstance(content, str):
+                path.write_text(content)
+            else:
+                _write_csv(path, *content)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return RunRecord(spec, [str(p) for p in written], summary, __version__, config_hash, data)
 
 
 def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunRecord:
@@ -508,89 +555,37 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunRecord:
     quantum.csv (optional), rayleigh.txt, record.txt.  A failure while
     writing removes the partial files before re-raising.
     """
-    from . import __version__
-
-    out = Path(out_dir if out_dir is not None else spec.run.out)
     data = simulate(spec)
     summary = summarize(spec, data)
-    config_text = format_config(spec)
-    config_hash = hashlib.sha256(config_text.encode()).hexdigest()
-
-    out.mkdir(parents=True, exist_ok=True)
-    written: list = []
-
-    def target(name: str) -> Path:
-        path = out / name
-        written.append(path)
-        return path
-
-    try:
-        target("config.txt").write_text(config_text)
-        _write_csv(
-            target("means.csv"),
-            "t,x1,x2,p1,p2,q1,q2",
-            (data.times, data.x1, data.x2, data.p1, data.p2, data.q1, data.q2),
+    # window k starts at k * stride on both grids (resolve_spec makes the
+    # stride and delay whole multiples of dt and dt_cov); windows past the
+    # end of the variance grid stay NaN
+    sm, sv = data.sync_means, data.sync_vars
+    c_vars = np.full(sm.values.size, math.nan)
+    n = min(sm.values.size, sv.values.size)
+    c_vars[:n] = sv.values[:n]
+    files = [
+        ("means.csv", ("t,x1,x2,p1,p2,q1,q2",
+                       (data.times, data.x1, data.x2, data.p1, data.p2, data.q1, data.q2))),
+        ("variances.csv", ("t,var_x1,var_x2", (data.cov_times, data.var_x1, data.var_x2))),
+        ("sync.csv", ("t,c_means,c_vars", (sm.times, sm.values, c_vars))),
+    ]
+    if data.quantum is not None:
+        rep = data.quantum
+        files.append(
+            ("quantum.csv", ("t,E,MI,S1,S2,S12", (rep.times, rep.E, rep.MI, rep.S1, rep.S2, rep.S12)))
         )
-        _write_csv(
-            target("variances.csv"),
-            "t,var_x1,var_x2",
-            (data.cov_times, data.var_x1, data.var_x2),
-        )
-        _write_csv(
-            target("sync.csv"),
-            "t,c_means,c_vars",
-            (
-                data.sync_means.times,
-                data.sync_means.values,
-                _matched_series(data.sync_means, data.sync_vars),
-            ),
-        )
-        if data.quantum is not None:
-            rep = data.quantum
-            _write_csv(
-                target("quantum.csv"),
-                "t,E,MI,S1,S2,S12",
-                (rep.times, rep.E, rep.MI, rep.S1, rep.S2, rep.S12),
-            )
-        ray = data.rayleigh
-        ray_lines = [
-            f"Gp_11 = {_fmt(ray.Gp[0, 0])}",
-            f"Gp_12 = {_fmt(ray.Gp[0, 1])}",
-            f"Gp_21 = {_fmt(ray.Gp[1, 0])}",
-            f"Gp_22 = {_fmt(ray.Gp[1, 1])}",
-            f"gap = {_fmt(ray.gap)}",
-            f"tau_S = {_fmt(ray.tau_S) if math.isfinite(ray.tau_S) else 'inf'}",
-            f"ratio = {_fmt(ray.ratio) if math.isfinite(ray.ratio) else 'inf'}",
-            f"predicts_sync = {ray.predicts_sync}",
-            f"commutator_norm = {_fmt(ray.commutator_norm)}",
-            f"revival_time = {_fmt(summary['revival_time'])}",
-        ]
-        target("rayleigh.txt").write_text("\n".join(ray_lines) + "\n")
-
-        record_lines = [f"version = {__version__}", f"config_hash = {config_hash}",
-                        f"preset = {spec.preset}"]
-        for key, val in spec.flat().items():
-            record_lines.append(f"{key} = {val}")
-        for key, val in summary.items():
-            if isinstance(val, float):
-                record_lines.append(f"{key} = {_fmt(val) if math.isfinite(val) else val}")
-            else:
-                record_lines.append(f"{key} = {val}")
-        record_lines.append("files = " + ",".join(p.name for p in written) + ",record.txt")
-        target("record.txt").write_text("\n".join(record_lines) + "\n")
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-
-    return RunRecord(
-        spec=spec,
-        files=[str(p) for p in written],
-        summary=summary,
-        version=__version__,
-        config_hash=config_hash,
-        data=data,
-    )
+    ray = data.rayleigh
+    files.append(("rayleigh.txt", _record_text([
+        *((f"Gp_{i + 1}{j + 1}", ray.Gp[i, j]) for i in range(2) for j in range(2)),
+        ("gap", ray.gap), ("tau_S", ray.tau_S), ("ratio", ray.ratio),
+        ("predicts_sync", ray.predicts_sync), ("commutator_norm", ray.commutator_norm),
+        ("revival_time", summary["revival_time"]),
+    ])))
+    names = ["config.txt", *(name for name, _ in files), "record.txt"]
+    fields = [*((k, str(v)) for k, v in spec.flat().items()), *summary.items(),
+              ("files", ",".join(names))]
+    return _write_outputs(spec, out_dir, files, "record.txt", fields, summary, data)
 
 
 def _sweep_one(args):
@@ -619,8 +614,6 @@ def sweep_plug_site(spec: ScenarioSpec, sites=None, workers: int = 1, out_dir=No
     in sweep_record.txt and skipped; the grid is byte-identical for any
     worker count.
     """
-    from . import __version__
-
     if spec.preset not in ("appB_sweep", "custom"):
         raise ConfigError(
             f"plug-site sweeps expect the appB_sweep or custom preset, got {spec.preset!r}"
@@ -641,46 +634,15 @@ def sweep_plug_site(spec: ScenarioSpec, sites=None, workers: int = 1, out_dir=No
         results = [_sweep_one(job) for job in jobs]
     results.sort(key=lambda r: r[0])
 
-    out = Path(out_dir if out_dir is not None else spec.run.out)
-    out.mkdir(parents=True, exist_ok=True)
-    config_text = format_config(spec)
-    config_hash = hashlib.sha256(config_text.encode()).hexdigest()
-    written: list = []
-    statuses: dict = {}
-    try:
-        path = out / "sweep.csv"
-        written.append(path)
-        with open(path, "w", newline="") as fh:
-            fh.write("site,t,c\n")
-            for result in results:
-                if len(result) == 2:
-                    statuses[result[0]] = result[1]
-                    continue
-                site, starts, values = result
-                statuses[site] = "ok"
-                for t, c in zip(starts, values):
-                    fh.write(f"{site:d},{_fmt(t)},{_fmt(c)}\n")
-        cfg_path = out / "config.txt"
-        written.append(cfg_path)
-        cfg_path.write_text(config_text)
-        rec_path = out / "sweep_record.txt"
-        written.append(rec_path)
-        rec_lines = [f"version = {__version__}", f"config_hash = {config_hash}",
-                     f"preset = {spec.preset}", f"workers = {workers}"]
-        for site in sites:
-            rec_lines.append(f"site_{site} = {statuses.get(site, 'missing')}")
-        rec_path.write_text("\n".join(rec_lines) + "\n")
-    except BaseException:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise
-
-    n_failed = sum(1 for v in statuses.values() if v != "ok")
-    summary = {"sites": len(sites), "failed_sites": n_failed}
-    return RunRecord(
-        spec=spec,
-        files=[str(p) for p in written],
-        summary=summary,
-        version=__version__,
-        config_hash=config_hash,
+    statuses = {r[0]: "ok" if len(r) == 3 else r[1] for r in results}
+    ok = [r for r in results if len(r) == 3]
+    columns = (
+        np.repeat(np.array([site for site, _, _ in ok], dtype=int), [t.size for _, t, _ in ok]),
+        np.concatenate([np.empty(0), *(t for _, t, _ in ok)]),
+        np.concatenate([np.empty(0), *(c for _, _, c in ok)]),
+    )
+    fields = [("workers", workers), *((f"site_{site}", statuses[site]) for site in sites)]
+    summary = {"sites": len(sites), "failed_sites": sum(v != "ok" for v in statuses.values())}
+    return _write_outputs(
+        spec, out_dir, [("sweep.csv", ("site,t,c", columns))], "sweep_record.txt", fields, summary
     )

@@ -133,3 +133,12 @@ def grid_rayleigh_report(cfg, probes, dt=None):
     )
     G = np.array([[g1, eta], [eta, g2]])
     return rayleigh_reduction(probe_stiffness(probes), G)
+
+
+def sweep_csv_text(rows) -> str:
+    """sweep.csv as one f-string per row, from (site, starts, values)
+    triples in site order."""
+    lines = ["site,t,c\n"]
+    for site, starts, values in rows:
+        lines += [f"{site:d},{t:.11e},{c:.11e}\n" for t, c in zip(starts, values)]
+    return "".join(lines)

@@ -1,3 +1,6 @@
+import pytest
+
+from chainsync import scenarios
 from chainsync.cli import main
 
 
@@ -35,11 +38,46 @@ def test_config_error_exit_code(capsys):
     assert main(["validate", "--set", "bogus=1"]) == 2
     assert main(["run", "--set", "preset=nope"]) == 2
     assert main(["run", "--set", "M"]) == 2
+    capsys.readouterr()
+    assert main(["validate", "--set", "M=twelve"]) == 2
+    assert capsys.readouterr().err == "config error: not an integer: 'twelve'\n"
+    assert main(["validate", "--set", "write_quantum=maybe"]) == 2
     small = ["run", "--set", "M=20", "--set", "horizon=60"]
     assert main([*small, "--set", "window=1.0"]) == 2
     assert main([*small, "--set", "dt_cov=0.3"]) == 2
     assert main([*small, "--set", "delay=0.03"]) == 2
     assert main(["run", "--set", "M=20", "--set", "horizon=15"]) == 2
+
+
+def test_non_finite_values_exit_2(tmp_path, capsys):
+    small = ["--set", "M=20", "--set", "horizon=60"]
+    for item in ("window=nan", "dt=nan", "K=inf", "g=inf", "omega0=nan", "lambda=nan"):
+        for command in ("validate", "run"):
+            out = tmp_path / f"{command}-{item}"
+            argv = [command, *small, "--set", item] + (["--out", str(out)] if command == "run" else [])
+            assert main(argv) == 2, (command, item)
+            assert not out.exists()
+    assert main(["validate", "--set", "horizon=nan"]) == 2
+    out = tmp_path / "x1"
+    assert main(["run", *small, "--set", "x1=inf", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failed_write_leaves_no_files(tmp_path, monkeypatch, capsys, command):
+    def full_disk(path, header, columns):
+        path.write_text(header + "\n")  # a partial file
+        raise OSError(28, "No space left on device")
+
+    # the second file written is a CSV: means.csv in a run, sweep.csv in a sweep
+    monkeypatch.setattr(scenarios, "_write_csv", full_disk)
+    out = tmp_path / "out"
+    argv = [command, "--set", "preset=appB_sweep", "--set", "M=20", "--set", "horizon=40",
+            "--set", "sweep_stop=2", "--out", str(out)]
+    assert main(argv) == 4
+    assert "No space left" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_instability_exit_code(tmp_path, capsys):

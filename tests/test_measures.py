@@ -25,6 +25,7 @@ from chainsync import (
     sync_series,
     vn_entropy,
 )
+from chainsync.measures import window_samples
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import correlation_loop
@@ -144,6 +145,28 @@ def test_sync_series_rejects_non_uniform_grid():
     t = np.arange(60_001) * 0.02
     ss = sync_series(t, np.cos(1.1 * t), np.cos(1.1 * t), window=20.0, stride=2.0)
     assert ss.values.size == 591 and np.allclose(ss.values, 1.0)
+
+
+def test_sync_series_rejects_stride_off_grid():
+    # a stride between two grid multiples used to be rounded silently,
+    # spacing the windows 2 samples apart while SyncSeries.stride read 2.5
+    t = np.arange(0.0, 100.0, 1.0)
+    f = np.cos(1.1 * t)
+    with pytest.raises(ValueError, match="stride"):
+        sync_series(t, f, f, 10.0, 2.5)
+    with pytest.raises(ValueError, match="stride"):
+        sync_series(t, f, f, 10.0, 0.4)
+    assert np.allclose(np.diff(sync_series(t, f, f, 10.0, 3.0).times), 3.0)
+
+
+def test_window_samples_rules():
+    assert window_samples(20.0, 2.0, -0.4, 0.2) == (100, 10, -2)
+    # the delay tolerance scales with the step, so round-off around zero passes
+    assert window_samples(20.0, 2.0, 1.8e-15, 0.1) == (200, 20, 0)
+    for args in ((1.0, 2.0, 0.0, 0.2), (20.0, 2.1, 0.0, 0.2), (20.0, 2.0, 0.03, 0.02),
+                 (20.0, 1e-3, 0.0, 0.02), (20.0, 1.7e308, 0.0, 0.02), (math.nan, 2.0, 0.0, 0.2)):
+        with pytest.raises(ValueError):
+            window_samples(*args)
 
 
 def test_scan_delayed_sync_recovers_shift():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from chainsync import (
+    PRESETS,
+    InstabilityError,
     ParseError,
     RangeError,
     UnknownKey,
@@ -17,8 +19,11 @@ from chainsync import (
     scan_delayed_sync,
     simulate,
     sweep_plug_site,
+    sync_series,
 )
 from chainsync.errors import ConfigError
+
+from oracles import sweep_csv_text
 
 SMALL = {"M": 24, "horizon": 60.0, "site_n": 1}
 
@@ -131,6 +136,89 @@ def test_range_errors():
     with pytest.raises(RangeError):
         parse_config("horizon = 15\n")
     assert parse_config("horizon = 20\n").run.horizon == 20.0
+
+
+def test_non_finite_values_are_range_errors():
+    for key in ("window", "dt", "K", "g", "omega0", "lambda", "horizon", "x1", "delay", "r2"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(RangeError, match="finite"):
+                resolve_spec("custom", {"M": 20, "horizon": 60.0, key: bad})
+
+
+def _nu_max(spec):
+    V = assemble_full_potential(spec.network, spec.probes).V
+    return math.sqrt(np.linalg.eigvalsh(V)[-1])
+
+
+def test_steps_beyond_the_fastest_mode_are_rejected():
+    # dt above pi/nu_max aliases the means, dt_cov above pi/(2 nu_max) the
+    # variances; the bound is checked without diagonalizing V
+    with pytest.raises(RangeError, match="aliases"):
+        resolve_spec("custom", {"dt": 2.0})
+    with pytest.raises(RangeError, match="aliases"):
+        resolve_spec("custom", {"dt_cov": 1.0})
+    rng = np.random.default_rng(11)
+    specs = [resolve_spec(p, {"M": 40, "site_n": 40 if "edges" in p else 1}) for p in PRESETS]
+    while len(specs) < len(PRESETS) + 12:
+        w1, w2 = rng.uniform(0.2, 3.0, 2)
+        values = {
+            "M": int(rng.integers(2, 40)), "omega0": rng.uniform(0.0, 2.0),
+            "g": rng.uniform(0.1, 3.0), "omega1": w1, "omega2": w2,
+            "lambda": rng.uniform(0.0, 1.0), "K": rng.uniform(0.0, 1.5),
+            "dt": 0.001, "dt_cov": 0.001, "window": 0.1, "stride": 0.01,
+        }
+        values["site_n"] = int(rng.integers(1, values["M"] + 1))
+        spec = resolve_spec("custom", values)
+        try:
+            check_stability(assemble_full_potential(spec.network, spec.probes))
+        except InstabilityError:
+            continue
+        specs.append(spec)
+    for spec in specs:
+        flat = spec.flat()
+        nu_max = _nu_max(spec)
+        for key, limit in (("dt", math.pi / nu_max), ("dt_cov", math.pi / (2 * nu_max))):
+            with pytest.raises(RangeError, match="aliases"):
+                resolve_spec(spec.preset, dict(flat, **{key: 1.0001 * limit}))
+
+
+def test_c_vars_matches_variance_windows_by_start(tmp_path):
+    for delay in (-2.0, 0.6, 4.0):
+        for horizon in (219.9, 219.3, 201.0):
+            spec = resolve_spec("fig2_dissipation", dict(
+                SMALL, horizon=horizon, delay=delay, write_quantum=False
+            ))
+            record = run_scenario(spec, out_dir=tmp_path)
+            data, meas = record.data, spec.measure
+            ref = sync_series(data.cov_times, data.var_x1, data.var_x2,
+                              meas.window, meas.stride, meas.delay)
+            rows = (tmp_path / "sync.csv").read_text().splitlines()[1:]
+            assert len(rows) == data.sync_means.times.size > 0
+            for row in rows:
+                t, _, c_vars = row.split(",")
+                hit = np.flatnonzero(np.isclose(ref.times, float(t), rtol=0, atol=1e-9))
+                expected = ref.values[hit[0]] if hit.size else math.nan
+                assert c_vars == f"{expected:.11e}", (delay, horizon, t)
+
+
+def test_sweep_csv_matches_per_row_oracle(tmp_path):
+    # K = 1.0 leaves the shared site 1 and site 2 unstable, the others stable
+    spec = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0, "K": 1.0})
+    record = sweep_plug_site(spec, sites=[5, 1, 3], out_dir=tmp_path / "some")
+    assert record.summary == {"sites": 3, "failed_sites": 1}
+    rows = []
+    for site in (3, 5):
+        ss = simulate(resolve_spec("appB_sweep", dict(spec.flat(), site_n=site))).sync_means
+        rows.append((site, ss.times, ss.values))
+    assert (tmp_path / "some" / "sweep.csv").read_text() == sweep_csv_text(rows)
+    status = (tmp_path / "some" / "sweep_record.txt").read_text().splitlines()[4:]
+    assert status[0] == "site_5 = ok" and status[2] == "site_3 = ok"
+    assert status[1].startswith("site_1 = InstabilityError")
+
+    failed = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0, "K": 50.0})
+    record = sweep_plug_site(failed, sites=[2, 3], out_dir=tmp_path / "none")
+    assert record.summary["failed_sites"] == 2
+    assert (tmp_path / "none" / "sweep.csv").read_text() == sweep_csv_text([])
 
 
 def test_config_roundtrip():
