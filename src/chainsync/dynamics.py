@@ -24,6 +24,8 @@ from .lattice import (
 # time rows per block of ``phasor_blocks``; the block's arrays set the
 # peak memory of a series
 _TIME_CHUNK = 256
+# rows and columns per tile when a covariance is symmetrized or checked
+_TILE = 256
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -34,12 +36,43 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return J
 
 
+def _mirror_tiles(n: int):
+    """(rows, cols) slices of the tiles on and above the diagonal of an
+    n x n matrix."""
+    edges = range(0, n, _TILE)
+    for i, lo in enumerate(edges):
+        for c in edges[i:]:
+            yield slice(lo, lo + _TILE), slice(c, c + _TILE)
+
+
+def _mean_tile(a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Tile (rows, cols) of 0.5 * (a + a.T), entry for entry."""
+    t = a[rows, cols] + a[cols, rows].T
+    t *= 0.5
+    return t
+
+
+def _is_symmetrized(a: np.ndarray) -> bool:
+    """Whether 0.5 * (a + a.T) equals ``a`` bit for bit, checked one tile
+    pair at a time."""
+    for rows, cols in _mirror_tiles(a.shape[0]):
+        t = _mean_tile(a, rows, cols).view(np.uint64)
+        if not (
+            np.array_equal(t, a[rows, cols].view(np.uint64))
+            and np.array_equal(t.T, a[cols, rows].view(np.uint64))
+        ):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """First and second moments of a Gaussian state.
 
     ``cov`` uses the symmetrized convention sigma_ab =
-    <{r_a, r_b}>/2 - <r_a><r_b>.
+    <{r_a, r_b}>/2 - <r_a><r_b>.  A covariance is stored as
+    0.5 * (cov + cov.T); one that already equals that bit for bit is kept
+    without a copy.
     """
 
     mean: np.ndarray
@@ -50,8 +83,10 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.size, mean.size) or mean.size % 2 != 0:
             raise ValueError("mean length 2N and cov shape (2N, 2N) required")
+        if not _is_symmetrized(cov):
+            cov = 0.5 * (cov + cov.T)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "cov", cov)
 
     @property
     def n_modes(self) -> int:
@@ -114,6 +149,11 @@ def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> Gaus
     omegas, O = chain_normal_modes(cfg)
     cov[2:N, 2:N] = (O / omegas) @ O.T / 2.0
     cov[N + 2 :, N + 2 :] = (O * omegas) @ O.T / 2.0
+    # symmetrized in place, so GaussianState keeps it without a copy
+    for rows, cols in _mirror_tiles(2 * N):
+        t = _mean_tile(cov, rows, cols)
+        cov[rows, cols] = t
+        cov[cols, rows] = t.T
     return GaussianState(mean, cov)
 
 

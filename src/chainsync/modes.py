@@ -6,7 +6,10 @@ q2 = -sin(theta) x1 + cos(theta) x2 with tan(2 theta) = 2 lambda /
 (omega2^2 - omega1^2).  Eliminating the chain turns the probe dynamics into
 a pair of integro-differential equations whose memory kernels are finite
 cosine sums over the chain band; ``solve_gqle_means`` integrates them for
-the mean values.  ``rayleigh_reduction`` implements the time-local
+the mean values.  Because each kernel is exactly sum_j w_j cos(Omega_j t),
+its history sum over n steps is Re sum_j w_j A_j with per-mode phasor
+accumulators A_j <- exp(i Omega_j h) A_j + u, so the solve costs O(n M)
+rather than O(n^2).  ``rayleigh_reduction`` implements the time-local
 reduction: diagonalize the stiffness, transform the damping matrix, drop
 its off-diagonal part, and predict synchronization from the gap between
 the two surviving damping rates.  ``chain_rayleigh_report`` takes that
@@ -90,21 +93,35 @@ def system_modes(probes: ProbePair, network: NetworkConfig | int) -> SystemModes
 
 @dataclass(frozen=True)
 class Kernels:
-    """Memory kernels sampled on a uniform grid.
+    """Memory kernels sampled on a uniform grid, with the spectral data
+    they are sums over.
 
     gamma1/gamma2 damp each probe normal mode locally; eta carries the
     cross friction transmitted along the chain and is symmetric under
-    swapping the two modes.  The t = 0 values renormalize the stiffness in
-    the Langevin equation and are recorded separately.
+    swapping the two modes.  Row s of ``weights`` holds the weights of
+    kernel s over ``chain_freqs``: c1^2 / Omega^2, c2^2 / Omega^2 and
+    c1 c2 / Omega^2.  The t = 0 values, their sums, renormalize the
+    stiffness in the Langevin equation.
     """
 
     times: np.ndarray
     gamma1: np.ndarray
     gamma2: np.ndarray
     eta: np.ndarray
-    gamma1_0: float
-    gamma2_0: float
-    eta_0: float
+    chain_freqs: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def gamma1_0(self) -> float:
+        return float(self.weights[0].sum())
+
+    @property
+    def gamma2_0(self) -> float:
+        return float(self.weights[1].sum())
+
+    @property
+    def eta_0(self) -> float:
+        return float(self.weights[2].sum())
 
     @property
     def dt(self) -> float:
@@ -126,19 +143,13 @@ def damping_kernels(
     if np.any(omegas <= 0.0):
         raise ZeroModeError("damping kernels need strictly positive chain frequencies")
     times = np.asarray(times, dtype=float)
-    inv2 = 1.0 / omegas**2
-    w1 = modes.c1**2 * inv2
-    w2 = modes.c2**2 * inv2
-    wx = modes.c1 * modes.c2 * inv2
-    g1 = np.empty_like(times)
-    g2 = np.empty_like(times)
-    et = np.empty_like(times)
+    weights = np.stack([modes.c1**2, modes.c2**2, modes.c1 * modes.c2]) * (1.0 / omegas**2)
+    sampled = np.empty((3, times.size))
     for block, _, z in phasor_blocks(omegas, times):
         cosm = np.ascontiguousarray(z.real)
-        g1[block] = cosm @ w1
-        g2[block] = cosm @ w2
-        et[block] = cosm @ wx
-    return Kernels(times, g1, g2, et, float(w1.sum()), float(w2.sum()), float(wx.sum()))
+        for row, w in zip(sampled, weights):
+            row[block] = cosm @ w
+    return Kernels(times, *sampled, omegas, weights)
 
 
 @dataclass(frozen=True)
@@ -301,8 +312,20 @@ def solve_gqle_means(
               = -gamma_s(t) q_s(0) - eta(t) q_sbar(0)
 
     The convolution uses the trapezoidal rule on the shared kernel grid,
-    which must be uniform with step ``dt``, and the stepper is Heun's method, so the scheme converges at second
-    order in dt.  Returns (times, q, qdot) with q of shape (n+1, 2).
+    which must be uniform with step ``dt``, and the stepper is Heun's
+    method, so the scheme converges at second order in dt.
+
+    The history sums are exact per-mode recursions: with Z_j =
+    exp(i Omega_j dt), A_j(i) = sum_{k <= i} Z_j^(i-k) u_k obeys A(i) =
+    Z A(i-1) + u_i, and sum_k gamma(t_i - t_k) u_k = Re sum_j w_j A_j(i)
+    for the kernel's weights w (times the phasor of the grid's first
+    time).  Both channels share one (2, M) accumulator, and the predictor
+    and corrector of a step share the product Z A(i), differing only in
+    the newest term.  A step costs one complex multiply and one product
+    with the weights, O(M), so the solve is O(n M) instead of the O(n^2)
+    re-sum of the sampled history.  The forcing and the trapezoid's t' = 0
+    endpoint come from the sampled kernels.  Returns (times, q, qdot) with
+    q of shape (n+1, 2).
     """
     if dt > (2.0 * np.pi / Lambda2) / 20.0:
         raise StepTooLarge(
@@ -315,49 +338,58 @@ def solve_gqle_means(
     if kernels.times.size < n + 1:
         raise ValueError("kernel grid does not cover the integration horizon")
 
-    g1 = np.ascontiguousarray(kernels.gamma1[: n + 1])
-    g2 = np.ascontiguousarray(kernels.gamma2[: n + 1])
-    et = np.ascontiguousarray(kernels.eta[: n + 1])
-    r1, r2, re = g1[::-1].copy(), g2[::-1].copy(), et[::-1].copy()
-    L = n + 1
-
+    g1, g2, et = (k[: n + 1] for k in (kernels.gamma1, kernels.gamma2, kernels.eta))
+    (q1, q2), (u1, u2) = (np.asarray(v, dtype=float).tolist() for v in (q0, qdot0))
+    hh = 0.5 * dt
+    # forcing plus the trapezoid weight of the t' = 0 endpoint, per step
+    f1 = g1 * (hh * u1 - q1) + et * (hh * u2 - q2)
+    f2 = g2 * (hh * u2 - q2) + et * (hh * u1 - q1)
+    g10, g20, et0 = g1[0].item(), g2[0].item(), et[0].item()
+    # half weight of the newest velocity in the trapezoid
+    s1, s2, sx = hh * g10, hh * g20, hh * et0
     w1 = Lambda1**2 - kernels.gamma1_0
     w2 = Lambda2**2 - kernels.gamma2_0
     e0 = kernels.eta_0
 
+    omegas = kernels.chain_freqs
+    M = omegas.size
+    C = dt * kernels.weights * np.exp(1j * (omegas * kernels.times[0]))
+    # Re(a c) = [Re a, Im a] . [Re c, -Im c]: the history sums of both
+    # channels are one real (4M) @ (4M, 2) product with the float view of A
+    W = np.conj(np.array([[C[0], C[2]], [C[2], C[1]]]))
+    W = np.ascontiguousarray(W.view(float).transpose(0, 2, 1).reshape(4 * M, 2))
+    # one phasor row per channel: same-shape operands multiply fastest
+    Z = np.tile(np.exp(1j * (dt * omegas)), (2, 1))
+    A = np.empty((2, M), dtype=complex)
+    A[0], A[1] = u1, u2
+    A_flat = A.reshape(-1).view(float)
+    u_new = np.empty((2, 1), dtype=complex)
+
+    a1 = -w1 * q1 + e0 * q2 - g10 * q1 - et0 * q2
+    a2 = -w2 * q2 + e0 * q1 - g20 * q2 - et0 * q1
     q = np.empty((n + 1, 2))
     u = np.empty((n + 1, 2))
-    q[0] = np.asarray(q0, dtype=float)
-    u[0] = np.asarray(qdot0, dtype=float)
-
-    def accel(i, qi, u1h, u2h):
-        # trapezoid end-weights folded in by subtracting half the endpoints
-        if i == 0:
-            I1 = I2 = 0.0
-        else:
-            k1 = r1[L - 1 - i :]
-            k2 = r2[L - 1 - i :]
-            ke = re[L - 1 - i :]
-            I1 = dt * (
-                k1 @ u1h + ke @ u2h
-                - 0.5 * (g1[i] * u1h[0] + g1[0] * u1h[i] + et[i] * u2h[0] + et[0] * u2h[i])
-            )
-            I2 = dt * (
-                k2 @ u2h + ke @ u1h
-                - 0.5 * (g2[i] * u2h[0] + g2[0] * u2h[i] + et[i] * u1h[0] + et[0] * u1h[i])
-            )
-        a1 = -w1 * qi[0] + e0 * qi[1] - I1 - g1[i] * q[0, 0] - et[i] * q[0, 1]
-        a2 = -w2 * qi[1] + e0 * qi[0] - I2 - g2[i] * q[0, 1] - et[i] * q[0, 0]
-        return np.array([a1, a2])
-
-    for i in range(n):
-        a_n = accel(i, q[i], u[: i + 1, 0], u[: i + 1, 1])
-        q_pred = q[i] + dt * u[i]
-        u_pred = u[i] + dt * a_n
-        u[i + 1] = u_pred  # provisional, used inside the corrector convolution
-        a_pred = accel(i + 1, q_pred, u[: i + 2, 0], u[: i + 2, 1])
-        q[i + 1] = q[i] + 0.5 * dt * (u[i] + u_pred)
-        u[i + 1] = u[i] + 0.5 * dt * (a_n + a_pred)
+    q[0], u[0] = (q1, q2), (u1, u2)
+    # memoryviews read and write the arrays as Python floats, without
+    # per-element numpy scalars
+    qv, uv = memoryview(q.reshape(-1)), memoryview(u.reshape(-1))
+    steps = zip(range(2, 2 * n + 2, 2), memoryview(f1)[1:], memoryview(f2)[1:])
+    for j, F1, F2 in steps:
+        qp1, qp2 = q1 + dt * u1, q2 + dt * u2
+        up1, up2 = u1 + dt * a1, u2 + dt * a2
+        A *= Z
+        p1, p2 = np.dot(A_flat, W).tolist()
+        b1 = -w1 * qp1 + e0 * qp2 - p1 - s1 * up1 - sx * up2 + F1
+        b2 = -w2 * qp2 + e0 * qp1 - p2 - s2 * up2 - sx * up1 + F2
+        q1 += hh * (u1 + up1)
+        q2 += hh * (u2 + up2)
+        u1 += hh * (a1 + b1)
+        u2 += hh * (a2 + b2)
+        u_new[0, 0], u_new[1, 0] = u1, u2
+        A += u_new
+        a1 = -w1 * q1 + e0 * q2 - p1 - s1 * u1 - sx * u2 + F1
+        a2 = -w2 * q2 + e0 * q1 - p2 - s2 * u2 - sx * u1 + F2
+        qv[j], qv[j + 1], uv[j], uv[j + 1] = q1, q2, u1, u2
 
     times = np.arange(n + 1) * dt
     return times, q, u

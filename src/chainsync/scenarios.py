@@ -45,6 +45,10 @@ from .trajectory import NormalModeTrajectory
 
 SECTIONS = ("network", "probes", "initial", "measure", "run")
 
+# ceiling on horizon / dt and horizon / dt_cov, about 16 times the 60,000 mean
+# samples of the longest preset; a run's arrays grow linearly with it
+MAX_SAMPLES = 1_000_000
+
 
 def _parse_float(text):
     try:
@@ -305,12 +309,29 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     for key, limit in (("dt", math.pi / nu_bar), ("dt_cov", math.pi / (2 * nu_bar))):
         if can_be_stable and values[key] > limit:
             raise RangeError(f"{key}={values[key]} aliases the fastest mode (limit {limit:.6g})")
+        if values["horizon"] / values[key] > MAX_SAMPLES:
+            raise RangeError(
+                f"horizon/{key} = {values['horizon'] / values[key]:.6g} exceeds "
+                f"{MAX_SAMPLES} samples"
+            )
         try:
             window_samples(window, stride, delay, values[key])
         except ValueError as exc:
             raise RangeError(f"{exc} ({key})") from None
     if values["squeeze_axis"] not in ("position", "momentum"):
         raise RangeError(f"squeeze_axis must be 'position' or 'momentum'")
+    out = values["out"]
+    # config.txt echoes out verbatim: it must read back as the same text
+    if (
+        not isinstance(out, str)
+        or out != out.strip()
+        or "#" in out
+        or len(out.splitlines()) != 1  # also rejects ""
+    ):
+        raise RangeError(
+            f"out must be non-empty text without '#', line breaks or surrounding blanks, "
+            f"got {out!r}"
+        )
     M = network.M
     if values["sweep_stop"] == 0:
         values["sweep_stop"] = M

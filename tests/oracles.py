@@ -8,6 +8,7 @@ import numpy as np
 
 from chainsync import (
     GaussianState,
+    Kernels,
     QuadraticForm,
     StepTooLarge,
     chain_normal_modes,
@@ -133,6 +134,81 @@ def grid_rayleigh_report(cfg, probes, dt=None):
     )
     G = np.array([[g1, eta], [eta, g2]])
     return rayleigh_reduction(probe_stiffness(probes), G)
+
+
+def history_sum_gqle_means(
+    kernels: Kernels,
+    Lambda1: float,
+    Lambda2: float,
+    q0,
+    qdot0,
+    horizon: float,
+    dt: float,
+):
+    """``solve_gqle_means`` by re-summing the whole sampled history at
+    each Heun half-step, O(n^2) in the number of steps.
+
+    The same trapezoid weights and Heun stepper as the package's per-mode
+    recursion, with the convolution read off the sampled kernels instead
+    of the spectral weights.
+    """
+    if dt > (2.0 * np.pi / Lambda2) / 20.0:
+        raise StepTooLarge(
+            f"dt={dt} does not resolve the fast probe mode (need <= "
+            f"{(2.0 * np.pi / Lambda2) / 20.0:.4g})"
+        )
+    if abs(kernels.dt - dt) > 1e-12 * max(1.0, dt):
+        raise ValueError("kernel grid step must equal the integration step")
+    n = int(round(horizon / dt))
+    if kernels.times.size < n + 1:
+        raise ValueError("kernel grid does not cover the integration horizon")
+
+    g1 = np.ascontiguousarray(kernels.gamma1[: n + 1])
+    g2 = np.ascontiguousarray(kernels.gamma2[: n + 1])
+    et = np.ascontiguousarray(kernels.eta[: n + 1])
+    r1, r2, re = g1[::-1].copy(), g2[::-1].copy(), et[::-1].copy()
+    L = n + 1
+
+    w1 = Lambda1**2 - kernels.gamma1_0
+    w2 = Lambda2**2 - kernels.gamma2_0
+    e0 = kernels.eta_0
+
+    q = np.empty((n + 1, 2))
+    u = np.empty((n + 1, 2))
+    q[0] = np.asarray(q0, dtype=float)
+    u[0] = np.asarray(qdot0, dtype=float)
+
+    def accel(i, qi, u1h, u2h):
+        # trapezoid end-weights folded in by subtracting half the endpoints
+        if i == 0:
+            I1 = I2 = 0.0
+        else:
+            k1 = r1[L - 1 - i :]
+            k2 = r2[L - 1 - i :]
+            ke = re[L - 1 - i :]
+            I1 = dt * (
+                k1 @ u1h + ke @ u2h
+                - 0.5 * (g1[i] * u1h[0] + g1[0] * u1h[i] + et[i] * u2h[0] + et[0] * u2h[i])
+            )
+            I2 = dt * (
+                k2 @ u2h + ke @ u1h
+                - 0.5 * (g2[i] * u2h[0] + g2[0] * u2h[i] + et[i] * u1h[0] + et[0] * u1h[i])
+            )
+        a1 = -w1 * qi[0] + e0 * qi[1] - I1 - g1[i] * q[0, 0] - et[i] * q[0, 1]
+        a2 = -w2 * qi[1] + e0 * qi[0] - I2 - g2[i] * q[0, 1] - et[i] * q[0, 0]
+        return np.array([a1, a2])
+
+    for i in range(n):
+        a_n = accel(i, q[i], u[: i + 1, 0], u[: i + 1, 1])
+        q_pred = q[i] + dt * u[i]
+        u_pred = u[i] + dt * a_n
+        u[i + 1] = u_pred  # provisional, used inside the corrector convolution
+        a_pred = accel(i + 1, q_pred, u[: i + 2, 0], u[: i + 2, 1])
+        q[i + 1] = q[i] + 0.5 * dt * (u[i] + u_pred)
+        u[i + 1] = u[i] + 0.5 * dt * (a_n + a_pred)
+
+    times = np.arange(n + 1) * dt
+    return times, q, u
 
 
 def sweep_csv_text(rows) -> str:

@@ -126,3 +126,18 @@ def test_sweep_cli(tmp_path, capsys):
     assert code == 0
     assert "swept 3 sites" in capsys.readouterr().out
     assert (out / "sweep.csv").exists()
+
+
+# validate resolves the spec exactly as run does, but allocates no sample grid
+@pytest.mark.parametrize("items", [("dt=1e-9", "dt_cov=1e-9"), ("horizon=1e9",)])
+def test_sample_counts_above_the_ceiling_exit_2(items, capsys):
+    argv = ["validate", "--set", "M=20", "--set", "horizon=60"]
+    for item in items:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_out_that_the_config_echo_cannot_carry_exits_2(capsys):
+    assert main(["validate", "--set", "M=20", "--set", "out=runs/a#1"]) == 2
+    assert "out must be" in capsys.readouterr().err

@@ -21,6 +21,8 @@ from chainsync import (
     symplectic_spectrum,
     uncertainty_defect,
 )
+from chainsync.lattice import chain_normal_modes
+from chainsync.scenarios import PRESETS, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import rk4_reference
@@ -116,6 +118,79 @@ def test_initial_composite_state_layout():
     probe = reduce(state, (0, 1))
     assert np.allclose(probe.cov, np.diag([0.5, 1 / 2.2, 0.5, 0.55]), atol=1e-12)
 
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _symmetrization_cases():
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in (2, 10, 600):  # 600 spans several tiles, the last one partial
+        c = rng.standard_normal((n, n))
+        sym = c + c.T
+        cases += [c, sym]
+        for i, j in ((3 % n, n - 1), (n - 1, 3 % n)):  # one ulp off, either side
+            nearly = sym.copy()
+            nearly[i, j] = np.nextafter(nearly[i, j], np.inf)
+            cases.append(nearly)
+    # signed zeros, overflow of the sum, NaN: each on its own
+    for x, y in ((0.0, -0.0), (-0.0, -0.0), (1.7e308, 1.7e308), (np.nan, np.nan)):
+        c = np.array([[1.0, x, 2.0, 0.5], [y, 1.0, 0.5, 2.0], [2.0, 0.5, 3.0, 0.1], [0.5, 2.0, 0.1, 3.0]])
+        cases.append(c)
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("c", _symmetrization_cases())
+def test_gaussian_state_covariance_is_the_symmetrized_input_bitwise(c):
+    before = c.copy()
+    expected = 0.5 * (c + c.T)
+    state = GaussianState(np.zeros(c.shape[0]), c)
+    assert np.array_equal(_bits(state.cov), _bits(expected))
+    assert np.array_equal(_bits(c), _bits(before))
+
+
+def test_gaussian_state_keeps_an_exactly_symmetric_covariance():
+    c = np.random.default_rng(6).standard_normal((600, 600))
+    sym = c + c.T
+    assert GaussianState(np.zeros(600), sym).cov is sym
+    assert GaussianState(np.zeros(600), c).cov is not c
+
+
+def _assembled_covariance(probe_covs, cfg):
+    """The initial covariance as assembled, before symmetrization."""
+    N = cfg.M + 2
+    cov = np.zeros((2 * N, 2 * N))
+    for i, c in enumerate(probe_covs):
+        cov[i, i] = c[0, 0]
+        cov[N + i, N + i] = c[1, 1]
+        cov[i, N + i] = cov[N + i, i] = c[0, 1]
+    omegas, O = chain_normal_modes(cfg)
+    cov[2:N, 2:N] = (O / omegas) @ O.T / 2.0
+    cov[N + 2 :, N + 2 :] = (O * omegas) @ O.T / 2.0
+    return cov
+
+
+@pytest.mark.parametrize(
+    "preset, M", [(name, 60) for name in sorted(PRESETS)] + [("fig5_entanglement_common", 200)]
+)
+def test_initial_state_is_the_symmetrized_assembly_bitwise(preset, M):
+    site_n = min(PRESETS[preset].get("site_n", 1), M)
+    spec = resolve_spec(preset, {"M": M, "site_n": site_n})
+    ini, probes = spec.initial, spec.probes
+    sign = 1.0 if ini.squeeze_axis == "position" else -1.0
+    probe_covs = (
+        squeezed_vacuum_local(probes.omega1, sign * ini.r1),
+        squeezed_vacuum_local(probes.omega2, sign * ini.r2),
+    )
+    state = initial_composite_state(
+        ((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, spec.network
+    )
+    raw = _assembled_covariance(probe_covs, spec.network)
+    assert not np.array_equal(raw, raw.T)
+    assert np.array_equal(_bits(state.cov), _bits(0.5 * (raw + raw.T)))
 
 def test_vacuum_product_state_is_stationary_when_decoupled():
     cfg = NetworkConfig(M=5, omega0=0.6, g=1.0)

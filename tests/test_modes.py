@@ -32,7 +32,7 @@ from chainsync.modes import (
 from chainsync.scenarios import DEFAULTS, PRESETS, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
 
-from oracles import cosine_kernels, grid_rayleigh_report
+from oracles import cosine_kernels, grid_rayleigh_report, history_sum_gqle_means
 
 FIG2 = dict(omega1=1.0, omega2=1.1, lam=0.5)
 
@@ -469,3 +469,92 @@ def test_gqle_second_order_convergence():
     e1 = _gqle_vs_exact_error(0.02)
     e2 = _gqle_vs_exact_error(0.01)
     assert 3.0 < e1 / e2 < 5.0
+
+
+def _assert_matches_history_sum(kern, L1, L2, q0, qdot0, horizon, dt):
+    times, q, u = solve_gqle_means(kern, L1, L2, q0, qdot0, horizon, dt)
+    t_ref, q_ref, u_ref = history_sum_gqle_means(kern, L1, L2, q0, qdot0, horizon, dt)
+    assert np.array_equal(times, t_ref)
+    assert q.shape == q_ref.shape == u.shape == (times.size, 2)
+    assert np.max(np.abs(q - q_ref)) <= 1e-10 * np.max(np.abs(q_ref))
+    assert np.max(np.abs(u - u_ref)) <= 1e-10 * np.max(np.abs(u_ref))
+
+
+def _m8_kernels(grid):
+    cfg = NetworkConfig(M=8, omega0=0.7, g=1.0)
+    probes = ProbePair(omega2=1.1, lam=0.5, K=0.25, site_m=1, site_n=1)
+    modes = system_modes(probes, cfg)
+    omegas, _ = chain_normal_modes(cfg)
+    return modes, damping_kernels(modes, omegas, grid)
+
+
+def test_gqle_recursion_matches_history_sum_on_the_m8_case():
+    dt, horizon = 0.01, 30.0
+    modes, kern = _m8_kernels(np.arange(0.0, horizon + 3 * dt, dt))
+    q0 = mode_rotation(modes.theta) @ np.array([0.14, 1.4])
+    _assert_matches_history_sum(kern, modes.Lambda1, modes.Lambda2, q0, (0, 0), horizon, dt)
+
+
+def test_gqle_recursion_matches_history_sum_on_fig2():
+    spec = resolve_spec("fig2_dissipation")
+    modes = system_modes(spec.probes, spec.network)
+    omegas, _ = chain_normal_modes(spec.network)
+    dt, horizon = 0.008, 20.0
+    kern = damping_kernels(modes, omegas, np.arange(0.0, horizon + 3 * dt, dt))
+    q0 = mode_rotation(modes.theta) @ np.array([0.14, 1.4])
+    _assert_matches_history_sum(kern, modes.Lambda1, modes.Lambda2, q0, (0, 0), horizon, dt)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gqle_recursion_matches_history_sum_on_random_couplings(seed):
+    rng = np.random.default_rng(seed)
+    M = 12
+    omegas = np.sort(rng.uniform(0.3, 2.5, M))
+    modes = SystemModes(0.3, 0.9, 1.3, 0.2 * rng.standard_normal(M), 0.2 * rng.standard_normal(M))
+    dt, horizon = 0.01, 15.0
+    kern = damping_kernels(modes, omegas, np.arange(0.0, horizon + dt / 2, dt))
+    _assert_matches_history_sum(
+        kern, 0.9, 1.3, rng.standard_normal(2), rng.standard_normal(2), horizon, dt
+    )
+
+
+def test_gqle_recursion_matches_history_sum_without_couplings():
+    zero = np.zeros(3)
+    modes = SystemModes(0.0, 1.0, 1.4, zero, zero)
+    dt, horizon = 0.005, 10.0
+    kern = damping_kernels(modes, np.array([0.5, 1.0, 2.0]), np.arange(0.0, horizon + dt / 2, dt))
+    assert not np.any(kern.weights)
+    _assert_matches_history_sum(kern, 1.0, 1.4, (0.7, -0.2), (0.3, 0.1), horizon, dt)
+
+
+@pytest.mark.parametrize("start", [0.0, 0.3])
+def test_gqle_recursion_reads_a_kernel_grid_longer_than_the_horizon(start):
+    # the solve reads the first n + 1 samples, wherever the grid starts
+    dt, horizon = 0.01, 5.0
+    modes, kern = _m8_kernels(start + np.arange(4 * int(horizon / dt)) * dt)
+    _assert_matches_history_sum(
+        kern, modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0.2, -0.1), horizon, dt
+    )
+
+
+def test_gqle_recursion_is_deterministic():
+    dt, horizon = 0.01, 10.0
+    modes, kern = _m8_kernels(np.arange(0.0, horizon + 3 * dt, dt))
+    args = (kern, modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0.3, 0.0), horizon, dt)
+    for first, second in zip(solve_gqle_means(*args), solve_gqle_means(*args)):
+        assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+
+
+def test_kernels_keep_their_spectral_data():
+    modes, kern = _m8_kernels(np.linspace(0.0, 5.0, 51))
+    omegas, _ = chain_normal_modes(NetworkConfig(M=8, omega0=0.7, g=1.0))
+    assert np.array_equal(kern.chain_freqs, omegas)
+    inv2 = 1.0 / omegas**2
+    expected = [modes.c1**2 * inv2, modes.c2**2 * inv2, modes.c1 * modes.c2 * inv2]
+    for row, w, zero in zip(
+        kern.weights, expected, (kern.gamma1_0, kern.gamma2_0, kern.eta_0)
+    ):
+        assert np.array_equal(row, w)
+        assert zero == float(w.sum())
+    assert np.allclose([kern.gamma1[0], kern.gamma2[0], kern.eta[0]], kern.weights.sum(axis=1),
+                       rtol=1e-14, atol=0)

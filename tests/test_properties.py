@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from chainsync import format_config, parse_config, resolve_spec
 from chainsync.cli import main
-from chainsync.errors import ConfigError
-from chainsync.scenarios import KEY_SPECS, PRESETS
+from chainsync.errors import ConfigError, RangeError
+from chainsync.scenarios import KEY_SPECS, PRESETS, read_config
 
 FAST = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
-# echo-safe text: no comment mark, no line break, no surrounding blanks
-_WORD = st.text(st.characters(codec="ascii", categories=["L", "N"], include_characters="_-./"),
-                min_size=1, max_size=12)
-
 
 @st.composite
-def specs(draw):
+def configs(draw):
+    """(preset, overrides) that resolve once ``out`` is a plain word; ``out``
+    itself is any text."""
     M = draw(st.integers(2, 64))
     dt = draw(st.sampled_from([0.01, 0.02, 0.05]))
     dt_cov = dt * draw(st.integers(1, 4))
@@ -50,17 +48,35 @@ def specs(draw):
         "write_quantum": draw(st.booleans()),
         "sweep_start": 1,
         "sweep_stop": draw(st.integers(0, M)),
-        "out": draw(_WORD),
+        "out": draw(st.text(max_size=12)),
     }
+    preset = draw(st.sampled_from(sorted(PRESETS)))
     try:
-        return resolve_spec(draw(st.sampled_from(sorted(PRESETS))), overrides)
+        resolve_spec(preset, dict(overrides, out="out"))
     except ConfigError:
         assume(False)
+    return preset, overrides
+
+
+def _echoed_out(out):
+    """``out`` as read back from its config line, or None if unreadable."""
+    try:
+        return read_config(f"out = {out}\n")[1].get("out")
+    except ConfigError:
+        return None
 
 
 @FAST
-@given(specs())
-def test_config_echo_round_trips(spec):
+@given(configs())
+def test_config_echo_round_trips(config):
+    preset, overrides = config
+    try:
+        spec = resolve_spec(preset, overrides)
+    except RangeError:
+        # only an out that is empty or that its config line cannot carry
+        out = overrides["out"]
+        assert out == "" or _echoed_out(out) != out
+        return
     assert parse_config(format_config(spec)) == spec
 
 

@@ -22,6 +22,7 @@ from chainsync import (
     sync_series,
 )
 from chainsync.errors import ConfigError
+from chainsync.scenarios import MAX_SAMPLES
 
 from oracles import sweep_csv_text
 
@@ -181,6 +182,31 @@ def test_steps_beyond_the_fastest_mode_are_rejected():
             with pytest.raises(RangeError, match="aliases"):
                 resolve_spec(spec.preset, dict(flat, **{key: 1.0001 * limit}))
 
+
+
+def test_sample_counts_above_the_ceiling_are_range_errors():
+    for name in PRESETS:
+        spec = resolve_spec(name)
+        for step in (spec.run.dt, spec.run.dt_cov):
+            assert spec.run.horizon / step <= MAX_SAMPLES
+    for key in ("dt", "dt_cov"):
+        with pytest.raises(RangeError, match=f"horizon/{key}"):
+            resolve_spec("custom", {key: 600.0 / (1.01 * MAX_SAMPLES)})
+    with pytest.raises(RangeError, match="exceeds"):
+        resolve_spec("custom", {"horizon": 1e9})
+
+
+@pytest.mark.parametrize(
+    "out", ["runs/a#1", "", " runs", "runs ", "runs\n/a", "a\rb", "\r", "a\u2028b", "\t"]
+)
+def test_out_that_the_config_echo_cannot_carry_is_a_range_error(out):
+    with pytest.raises(RangeError, match="out must be"):
+        resolve_spec("custom", {"out": out})
+
+
+def test_out_with_inner_blanks_and_equals_signs_round_trips():
+    spec = resolve_spec("custom", {"out": "my runs/a=b [1]"})
+    assert parse_config(format_config(spec)) == spec
 
 def test_c_vars_matches_variance_windows_by_start(tmp_path):
     for delay in (-2.0, 0.6, 4.0):
