@@ -12,7 +12,6 @@ import sys
 from .errors import ConfigError, InstabilityError
 from .lattice import assemble_full_potential, check_stability
 from .scenarios import (
-    DEFAULTS,
     KEY_SPECS,
     PRESETS,
     format_config,
@@ -90,8 +89,8 @@ def _cmd_presets(_args) -> int:
         desc = ", ".join(f"{k}={v}" for k, v in changed.items()) or "base defaults"
         print(f"  {name}: {desc}")
     print("\nkeys (section, key, default):")
-    for key, (section, _) in KEY_SPECS.items():
-        print(f"  [{section}] {key} = {DEFAULTS[key]}")
+    for key, (section, default) in KEY_SPECS.items():
+        print(f"  [{section}] {key} = {default}")
     return EXIT_OK
 
 

@@ -10,10 +10,11 @@ the mean values.  Because each kernel is exactly sum_j w_j cos(Omega_j t),
 its history sum over n steps is Re sum_j w_j A_j with per-mode phasor
 accumulators A_j <- exp(i Omega_j h) A_j + u, so the solve costs O(n M)
 rather than O(n^2).  ``rayleigh_reduction`` implements the time-local
-reduction: diagonalize the stiffness, transform the damping matrix, drop
-its off-diagonal part, and predict synchronization from the gap between
-the two surviving damping rates.  ``chain_rayleigh_report`` takes that
-damping matrix from the kernels' Markovian plateau in closed form.
+reduction: rotate the damping matrix into the stiffness eigenbasis by the
+closed-form 2x2 angle, drop its off-diagonal part, and predict
+synchronization from the gap between the two surviving damping rates.
+``chain_rayleigh_report`` takes that damping matrix from the kernels'
+Markovian plateau in closed form.
 """
 
 from __future__ import annotations
@@ -23,9 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import phasor_blocks, uniform_step
+from .dynamics import phasor_blocks
 from .errors import StepTooLarge, ZeroModeError
 from .lattice import NetworkConfig, ProbePair, chain_normal_modes, revival_time
+
+
+def _rotation_angle(a11: float, a22: float, a12: float) -> float:
+    """Angle theta whose ``mode_rotation`` R makes R A R^T diagonal for the
+    symmetric A = [[a11, a12], [a12, a22]], smaller eigenvalue first: 0.5
+    atan2(-2 a12, a22 - a11), and 0 for a multiple of the identity."""
+    if a12 == 0.0 and a11 == a22:
+        return 0.0
+    return 0.5 * math.atan2(-2.0 * a12, a22 - a11)
 
 
 def system_mode_angle(omega1: float, omega2: float, lam: float) -> float:
@@ -36,9 +46,7 @@ def system_mode_angle(omega1: float, omega2: float, lam: float) -> float:
     omega2 < omega1 corner.  The degenerate case lam = 0, omega1 = omega2
     (any angle diagonalizes) returns 0; see ``angle_is_degenerate``.
     """
-    if angle_is_degenerate(omega1, omega2, lam):
-        return 0.0
-    return 0.5 * math.atan2(2.0 * lam, omega2**2 - omega1**2)
+    return _rotation_angle(omega1**2, omega2**2, -lam)
 
 
 def angle_is_degenerate(omega1: float, omega2: float, lam: float) -> bool:
@@ -76,7 +84,6 @@ class SystemModes:
     Lambda2: float
     c1: np.ndarray
     c2: np.ndarray
-    degenerate_angle: bool = False
 
 
 def system_modes(probes: ProbePair, network: NetworkConfig | int) -> SystemModes:
@@ -84,17 +91,16 @@ def system_modes(probes: ProbePair, network: NetworkConfig | int) -> SystemModes
     per-mode couplings (c1, c2) of the probe normal modes to the chain
     modes are the site couplings rotated by theta.  An int ``network`` is
     the homogeneous chain of that many sites."""
-    degenerate = angle_is_degenerate(probes.omega1, probes.omega2, probes.lam)
     theta = system_mode_angle(probes.omega1, probes.omega2, probes.lam)
     L1, L2 = system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam)
     c1, c2 = mode_rotation(theta) @ _site_couplings(network, probes)[1]
-    return SystemModes(theta, L1, L2, c1, c2, degenerate)
+    return SystemModes(theta, L1, L2, c1, c2)
 
 
 @dataclass(frozen=True)
 class Kernels:
-    """Memory kernels sampled on a uniform grid, with the spectral data
-    they are sums over.
+    """Memory kernels sampled on ``times``, with the spectral data they
+    are sums over.
 
     gamma1/gamma2 damp each probe normal mode locally; eta carries the
     cross friction transmitted along the chain and is symmetric under
@@ -122,11 +128,6 @@ class Kernels:
     @property
     def eta_0(self) -> float:
         return float(self.weights[2].sum())
-
-    @property
-    def dt(self) -> float:
-        """Grid step; raises ValueError on a non-uniform grid."""
-        return uniform_step(self.times)
 
 
 def damping_kernels(
@@ -169,7 +170,8 @@ def rayleigh_reduction(
     A: np.ndarray, G: np.ndarray, sync_threshold: float = 0.5
 ) -> RayleighReport:
     """Transform the damping matrix G into the eigenbasis of the stiffness
-    A and report the diagonal gap.
+    A and report the diagonal gap.  The eigenvectors are the rows of the
+    rotation by the closed-form angle of A, smaller eigenvalue first.
 
     The reduction drops the off-diagonal of G' = M^-1 G M, valid when
     ||[G, A]|| is small against the self-dampings.  A gap between G'_11
@@ -179,7 +181,7 @@ def rayleigh_reduction(
     """
     A = np.asarray(A, dtype=float)
     G = np.asarray(G, dtype=float)
-    _, vecs = np.linalg.eigh(A)
+    vecs = mode_rotation(_rotation_angle(A[0, 0], A[1, 1], A[0, 1])).T
     # fix eigenvector signs for a deterministic report
     for k in range(2):
         if vecs[np.argmax(np.abs(vecs[:, k])), k] < 0:
@@ -311,84 +313,76 @@ def solve_gqle_means(
               + int_0^t [gamma_s(t-t') qd_s(t') + eta(t-t') qd_sbar(t')] dt'
               = -gamma_s(t) q_s(0) - eta(t) q_sbar(0)
 
-    The convolution uses the trapezoidal rule on the shared kernel grid,
-    which must be uniform with step ``dt``, and the stepper is Heun's
-    method, so the scheme converges at second order in dt.
+    The convolution uses the trapezoidal rule with step ``dt`` and the
+    stepper is Heun's method, so the scheme converges at second order in
+    dt.  Only the kernels' spectral data are read (``chain_freqs`` and
+    ``weights``), never their samples, so the grid they were sampled on
+    does not matter.
 
     The history sums are exact per-mode recursions: with Z_j =
     exp(i Omega_j dt), A_j(i) = sum_{k <= i} Z_j^(i-k) u_k obeys A(i) =
     Z A(i-1) + u_i, and sum_k gamma(t_i - t_k) u_k = Re sum_j w_j A_j(i)
-    for the kernel's weights w (times the phasor of the grid's first
-    time).  Both channels share one (2, M) accumulator, and the predictor
-    and corrector of a step share the product Z A(i), differing only in
-    the newest term.  A step costs one complex multiply and one product
-    with the weights, O(M), so the solve is O(n M) instead of the O(n^2)
-    re-sum of the sampled history.  The forcing and the trapezoid's t' = 0
-    endpoint come from the sampled kernels.  Returns (times, q, qdot) with
-    q of shape (n+1, 2).
+    for the kernel's weights w.  Starting the accumulator at A(0) =
+    u_0 / 2 + q(0) / dt folds the trapezoid's half weight at t' = 0 and the
+    forcing into the same sum.  Both channels share one (2, M)
+    accumulator, and the predictor and corrector of a step share the
+    product Z A(i), differing only in the newest term.  A step costs one
+    complex multiply and one product with the weights, O(M), so the solve
+    is O(n M) instead of the O(n^2) re-sum of a sampled history.  Returns
+    (times, q, qdot) with q of shape (n+1, 2).
     """
     if dt > (2.0 * np.pi / Lambda2) / 20.0:
         raise StepTooLarge(
             f"dt={dt} does not resolve the fast probe mode (need <= "
             f"{(2.0 * np.pi / Lambda2) / 20.0:.4g})"
         )
-    if abs(kernels.dt - dt) > 1e-12 * max(1.0, dt):
-        raise ValueError("kernel grid step must equal the integration step")
     n = int(round(horizon / dt))
-    if kernels.times.size < n + 1:
-        raise ValueError("kernel grid does not cover the integration horizon")
-
-    g1, g2, et = (k[: n + 1] for k in (kernels.gamma1, kernels.gamma2, kernels.eta))
     (q1, q2), (u1, u2) = (np.asarray(v, dtype=float).tolist() for v in (q0, qdot0))
     hh = 0.5 * dt
-    # forcing plus the trapezoid weight of the t' = 0 endpoint, per step
-    f1 = g1 * (hh * u1 - q1) + et * (hh * u2 - q2)
-    f2 = g2 * (hh * u2 - q2) + et * (hh * u1 - q1)
-    g10, g20, et0 = g1[0].item(), g2[0].item(), et[0].item()
+    g10, g20, e0 = kernels.gamma1_0, kernels.gamma2_0, kernels.eta_0
     # half weight of the newest velocity in the trapezoid
-    s1, s2, sx = hh * g10, hh * g20, hh * et0
-    w1 = Lambda1**2 - kernels.gamma1_0
-    w2 = Lambda2**2 - kernels.gamma2_0
-    e0 = kernels.eta_0
+    s1, s2, sx = hh * g10, hh * g20, hh * e0
+    w1 = Lambda1**2 - g10
+    w2 = Lambda2**2 - g20
 
     omegas = kernels.chain_freqs
     M = omegas.size
-    C = dt * kernels.weights * np.exp(1j * (omegas * kernels.times[0]))
-    # Re(a c) = [Re a, Im a] . [Re c, -Im c]: the history sums of both
+    C = dt * kernels.weights
+    # Re(a c) = [Re a, Im a] . [c, 0] for real c: the history sums of both
     # channels are one real (4M) @ (4M, 2) product with the float view of A
-    W = np.conj(np.array([[C[0], C[2]], [C[2], C[1]]]))
+    W = np.array([[C[0], C[2]], [C[2], C[1]]], dtype=complex)
     W = np.ascontiguousarray(W.view(float).transpose(0, 2, 1).reshape(4 * M, 2))
     # one phasor row per channel: same-shape operands multiply fastest
     Z = np.tile(np.exp(1j * (dt * omegas)), (2, 1))
     A = np.empty((2, M), dtype=complex)
-    A[0], A[1] = u1, u2
+    A[0], A[1] = 0.5 * u1 + q1 / dt, 0.5 * u2 + q2 / dt
     A_flat = A.reshape(-1).view(float)
     u_new = np.empty((2, 1), dtype=complex)
 
-    a1 = -w1 * q1 + e0 * q2 - g10 * q1 - et0 * q2
-    a2 = -w2 * q2 + e0 * q1 - g20 * q2 - et0 * q1
+    # at t = 0 the memory integral vanishes and the forcing is its t = 0 value
+    a1 = -w1 * q1 + e0 * q2 - g10 * q1 - e0 * q2
+    a2 = -w2 * q2 + e0 * q1 - g20 * q2 - e0 * q1
     q = np.empty((n + 1, 2))
     u = np.empty((n + 1, 2))
     q[0], u[0] = (q1, q2), (u1, u2)
-    # memoryviews read and write the arrays as Python floats, without
-    # per-element numpy scalars
+    # memoryviews write the arrays from Python floats, without per-element
+    # numpy scalars
     qv, uv = memoryview(q.reshape(-1)), memoryview(u.reshape(-1))
-    steps = zip(range(2, 2 * n + 2, 2), memoryview(f1)[1:], memoryview(f2)[1:])
-    for j, F1, F2 in steps:
+    for j in range(2, 2 * n + 2, 2):
         qp1, qp2 = q1 + dt * u1, q2 + dt * u2
         up1, up2 = u1 + dt * a1, u2 + dt * a2
         A *= Z
         p1, p2 = np.dot(A_flat, W).tolist()
-        b1 = -w1 * qp1 + e0 * qp2 - p1 - s1 * up1 - sx * up2 + F1
-        b2 = -w2 * qp2 + e0 * qp1 - p2 - s2 * up2 - sx * up1 + F2
+        b1 = -w1 * qp1 + e0 * qp2 - p1 - s1 * up1 - sx * up2
+        b2 = -w2 * qp2 + e0 * qp1 - p2 - s2 * up2 - sx * up1
         q1 += hh * (u1 + up1)
         q2 += hh * (u2 + up2)
         u1 += hh * (a1 + b1)
         u2 += hh * (a2 + b2)
         u_new[0, 0], u_new[1, 0] = u1, u2
         A += u_new
-        a1 = -w1 * q1 + e0 * q2 - p1 - s1 * u1 - sx * u2 + F1
-        a2 = -w2 * q2 + e0 * q1 - p2 - s2 * u2 - sx * u1 + F2
+        a1 = -w1 * q1 + e0 * q2 - p1 - s1 * u1 - sx * u2
+        a2 = -w2 * q2 + e0 * q1 - p2 - s2 * u2 - sx * u1
         qv[j], qv[j + 1], uv[j], uv[j + 1] = q1, q2, u1, u2
 
     times = np.arange(n + 1) * dt

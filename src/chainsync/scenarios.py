@@ -77,69 +77,45 @@ def _parse_str(text):
     return text.strip()
 
 
-# key -> (section, parser)
+# key -> (section, default); a key's type is its default's type, and
+# "custom" is these defaults verbatim
 KEY_SPECS = {
-    "M": ("network", _parse_int),
-    "omega0": ("network", _parse_float),
-    "g": ("network", _parse_float),
-    "omega1": ("probes", _parse_float),
-    "omega2": ("probes", _parse_float),
-    "lambda": ("probes", _parse_float),
-    "K": ("probes", _parse_float),
-    "site_m": ("probes", _parse_int),
-    "site_n": ("probes", _parse_int),
-    "sign2": ("probes", _parse_int),
-    "x1": ("initial", _parse_float),
-    "x2": ("initial", _parse_float),
-    "p1": ("initial", _parse_float),
-    "p2": ("initial", _parse_float),
-    "r1": ("initial", _parse_float),
-    "r2": ("initial", _parse_float),
-    "squeeze_axis": ("initial", _parse_str),
-    "window": ("measure", _parse_float),
-    "stride": ("measure", _parse_float),
-    "delay": ("measure", _parse_float),
-    "horizon": ("run", _parse_float),
-    "dt": ("run", _parse_float),
-    "dt_cov": ("run", _parse_float),
-    "write_quantum": ("run", _parse_bool),
-    "sweep_start": ("run", _parse_int),
-    "sweep_stop": ("run", _parse_int),
-    "sweep_step": ("run", _parse_int),
-    "out": ("run", _parse_str),
+    "M": ("network", 300),
+    "omega0": ("network", 0.4),
+    "g": ("network", 1.2),
+    "omega1": ("probes", 1.0),
+    "omega2": ("probes", 1.1),
+    "lambda": ("probes", 0.5),
+    "K": ("probes", 0.2),
+    "site_m": ("probes", 1),
+    "site_n": ("probes", 1),
+    "sign2": ("probes", 1),
+    "x1": ("initial", 0.14),
+    "x2": ("initial", 1.4),
+    "p1": ("initial", 0.0),
+    "p2": ("initial", 0.0),
+    "r1": ("initial", 0.0),
+    "r2": ("initial", 0.0),
+    "squeeze_axis": ("initial", "position"),
+    "window": ("measure", 20.0),
+    "stride": ("measure", 2.0),
+    "delay": ("measure", 0.0),
+    "horizon": ("run", 600.0),
+    "dt": ("run", 0.02),
+    "dt_cov": ("run", 0.2),
+    "write_quantum": ("run", True),
+    "sweep_start": ("run", 1),
+    "sweep_stop": ("run", 0),  # 0 means "last chain site"
+    "sweep_step": ("run", 1),
+    "out": ("run", "out"),
 }
 
-# shared chain and defaults; "custom" is this set verbatim
-DEFAULTS = {
-    "M": 300,
-    "omega0": 0.4,
-    "g": 1.2,
-    "omega1": 1.0,
-    "omega2": 1.1,
-    "lambda": 0.5,
-    "K": 0.2,
-    "site_m": 1,
-    "site_n": 1,
-    "sign2": 1,
-    "x1": 0.14,
-    "x2": 1.4,
-    "p1": 0.0,
-    "p2": 0.0,
-    "r1": 0.0,
-    "r2": 0.0,
-    "squeeze_axis": "position",
-    "window": 20.0,
-    "stride": 2.0,
-    "delay": 0.0,
-    "horizon": 600.0,
-    "dt": 0.02,
-    "dt_cov": 0.2,
-    "write_quantum": True,
-    "sweep_start": 1,
-    "sweep_stop": 0,  # 0 means "last chain site"
-    "sweep_step": 1,
-    "out": "out",
-}
+DEFAULTS = {key: default for key, (_, default) in KEY_SPECS.items()}
+
+_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool, str: _parse_str}
+
+# config key -> field of its section's dataclass, where the two differ
+_FIELDS = {"lambda": "lam"}
 
 PRESETS = {
     "fig2_dissipation": {"horizon": 1200.0},
@@ -200,9 +176,18 @@ class ScenarioSpec:
     def flat(self) -> dict:
         """All resolved keys as one flat mapping (config echo order)."""
         return {
-            key: getattr(getattr(self, section), "lam" if key == "lambda" else key)
+            key: getattr(getattr(self, section), _FIELDS.get(key, key))
             for key, (section, _) in KEY_SPECS.items()
         }
+
+
+def _section_fields(values: dict, section: str) -> dict:
+    """Keyword arguments of one section's dataclass from resolved keys."""
+    return {
+        _FIELDS.get(key, key): values[key]
+        for key, (key_section, _) in KEY_SPECS.items()
+        if key_section == section
+    }
 
 
 def parse_setting(key: str, value: str, lineno: int | None = None):
@@ -222,7 +207,7 @@ def parse_setting(key: str, value: str, lineno: int | None = None):
     if key not in KEY_SPECS:
         raise UnknownKey(f"{where}unknown key {key!r}")
     try:
-        return KEY_SPECS[key][1](value)
+        return _PARSERS[type(KEY_SPECS[key][1])](value)
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
 
@@ -275,16 +260,8 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
             raise RangeError(f"{key} must be finite, got {val}")
 
     try:
-        network = NetworkConfig(M=values["M"], omega0=values["omega0"], g=values["g"])
-        probes = ProbePair(
-            omega1=values["omega1"],
-            omega2=values["omega2"],
-            lam=values["lambda"],
-            K=values["K"],
-            site_m=values["site_m"],
-            site_n=values["site_n"],
-            sign2=values["sign2"],
-        )
+        network = NetworkConfig(**_section_fields(values, "network"))
+        probes = ProbePair(**_section_fields(values, "probes"))
         probes.validate_sites(network.M)
     except ValueError as exc:
         raise RangeError(str(exc))
@@ -343,16 +320,14 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     if values["sweep_step"] < 1:
         raise RangeError(f"sweep_step must be >= 1, got {values['sweep_step']}")
 
-    initial = InitialConditions(
-        values["x1"], values["x2"], values["p1"], values["p2"],
-        values["r1"], values["r2"], values["squeeze_axis"],
+    return ScenarioSpec(
+        preset,
+        network,
+        probes,
+        InitialConditions(**_section_fields(values, "initial")),
+        MeasureConfig(**_section_fields(values, "measure")),
+        RunConfig(**_section_fields(values, "run")),
     )
-    measure = MeasureConfig(values["window"], values["stride"], values["delay"])
-    run = RunConfig(
-        values["horizon"], values["dt"], values["dt_cov"], values["write_quantum"],
-        values["sweep_start"], values["sweep_stop"], values["sweep_step"], values["out"],
-    )
-    return ScenarioSpec(preset, network, probes, initial, measure, run)
 
 
 def parse_config(text: str) -> ScenarioSpec:

@@ -18,6 +18,7 @@ from chainsync import (
     system_eigenfrequencies,
     vn_entropy,
 )
+from chainsync.dynamics import uniform_step
 from chainsync.modes import probe_stiffness
 
 
@@ -149,16 +150,19 @@ def history_sum_gqle_means(
     each Heun half-step, O(n^2) in the number of steps.
 
     The same trapezoid weights and Heun stepper as the package's per-mode
-    recursion, with the convolution read off the sampled kernels instead
-    of the spectral weights.
+    recursion, with the convolution and the forcing read off the sampled
+    kernels instead of the spectral weights, so the grid must be uniform
+    with step ``dt``, start at t = 0 and cover the horizon.
     """
     if dt > (2.0 * np.pi / Lambda2) / 20.0:
         raise StepTooLarge(
             f"dt={dt} does not resolve the fast probe mode (need <= "
             f"{(2.0 * np.pi / Lambda2) / 20.0:.4g})"
         )
-    if abs(kernels.dt - dt) > 1e-12 * max(1.0, dt):
+    if abs(uniform_step(kernels.times) - dt) > 1e-12 * max(1.0, dt):
         raise ValueError("kernel grid step must equal the integration step")
+    if kernels.times[0] != 0.0:
+        raise ValueError("kernel grid must start at t = 0")
     n = int(round(horizon / dt))
     if kernels.times.size < n + 1:
         raise ValueError("kernel grid does not cover the integration horizon")

@@ -401,35 +401,35 @@ def test_gqle_decoupled_probes_are_free_cosines():
     assert np.max(np.abs(q[:, 1] + 0.2 * np.cos(L2 * t))) < 1e-3
 
 
+def _assert_same_solve(kern, reference, *args):
+    for got, want in zip(solve_gqle_means(kern, *args), solve_gqle_means(reference, *args)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_gqle_step_guard_and_grid_checks():
-    times = np.arange(0.0, 5.0, 0.5)
-    kern = damping_kernels(
-        SystemModes(0.0, 1.0, 1.4, np.array([0.1]), np.array([0.1])), np.array([1.0]), times
-    )
+    modes = SystemModes(0.0, 1.0, 1.4, np.array([0.1]), np.array([0.1]))
+    kern = damping_kernels(modes, np.array([1.0]), np.arange(0.0, 5.0, 0.5))
     with pytest.raises(StepTooLarge):
         solve_gqle_means(kern, 1.0, 1.4, (1, 0), (0, 0), 4.0, 0.5)
-    fine = damping_kernels(
-        SystemModes(0.0, 1.0, 1.4, np.array([0.1]), np.array([0.1])),
-        np.array([1.0]),
-        np.arange(0.0, 1.0, 0.01),
-    )
-    with pytest.raises(ValueError):
-        solve_gqle_means(fine, 1.0, 1.4, (1, 0), (0, 0), 4.0, 0.01)  # grid too short
-    with pytest.raises(ValueError):
-        solve_gqle_means(fine, 1.0, 1.4, (1, 0), (0, 0), 0.5, 0.02)  # step mismatch
+    # a grid shorter than the horizon, or with another step, solves exactly
+    # as one sampled on the integration grid: only the spectral data are read
+    fine = damping_kernels(modes, np.array([1.0]), np.arange(0.0, 1.0, 0.01))
+    for horizon, dt in ((4.0, 0.01), (0.5, 0.02)):
+        on_grid = damping_kernels(modes, np.array([1.0]), np.arange(int(horizon / dt) + 1) * dt)
+        _assert_same_solve(fine, on_grid, 1.0, 1.4, (1, 0), (0, 0), horizon, dt)
 
 
-def test_gqle_rejects_a_non_uniform_kernel_grid():
+def test_gqle_ignores_the_kernel_sampling_grid():
     cfg = NetworkConfig(M=8, omega0=0.7, g=1.0)
     probes = ProbePair(omega2=1.1, lam=0.5, K=0.25, site_m=1, site_n=1)
     modes = system_modes(probes, cfg)
     omegas, _ = chain_normal_modes(cfg)
+    args = (modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0, 0), 10.0, 0.01)
+    on_grid = damping_kernels(modes, omegas, np.arange(1001) * 0.01)
     # one step of 0.01, then steps of 0.02: t1 - t0 equals dt, the grid is not uniform
     skewed = np.concatenate([[0.0], 0.01 + 0.02 * np.arange(1001)])
-    kern = damping_kernels(modes, omegas, skewed)
-    with pytest.raises(ValueError):
-        solve_gqle_means(kern, modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0, 0), 10.0, 0.01)
-    # the long arange grid of the criterion-9e run is uniform to round-off
+    _assert_same_solve(damping_kernels(modes, omegas, skewed), on_grid, *args)
+    # the long arange grid of the criterion-9e run
     dt, horizon = 0.008, 200.0
     grid = np.arange(0.0, horizon + 3 * dt, dt)
     assert grid.size > 25_001
@@ -529,20 +529,20 @@ def test_gqle_recursion_matches_history_sum_without_couplings():
 
 @pytest.mark.parametrize("start", [0.0, 0.3])
 def test_gqle_recursion_reads_a_kernel_grid_longer_than_the_horizon(start):
-    # the solve reads the first n + 1 samples, wherever the grid starts
+    # wherever the kernel grid starts, the solve is the one from t = 0
     dt, horizon = 0.01, 5.0
     modes, kern = _m8_kernels(start + np.arange(4 * int(horizon / dt)) * dt)
-    _assert_matches_history_sum(
-        kern, modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0.2, -0.1), horizon, dt
-    )
+    _, at_zero = _m8_kernels(np.arange(int(horizon / dt) + 1) * dt)
+    args = (modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0.2, -0.1), horizon, dt)
+    _assert_matches_history_sum(at_zero, *args)
+    _assert_same_solve(kern, at_zero, *args)
 
 
 def test_gqle_recursion_is_deterministic():
     dt, horizon = 0.01, 10.0
     modes, kern = _m8_kernels(np.arange(0.0, horizon + 3 * dt, dt))
-    args = (kern, modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0.3, 0.0), horizon, dt)
-    for first, second in zip(solve_gqle_means(*args), solve_gqle_means(*args)):
-        assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+    args = (modes.Lambda1, modes.Lambda2, (0.1, 1.4), (0.3, 0.0), horizon, dt)
+    _assert_same_solve(kern, kern, *args)
 
 
 def test_kernels_keep_their_spectral_data():

@@ -1,13 +1,28 @@
-"""Property tests of config handling: the config echo round trip and a
-fuzz of ``validate --set KEY=TEXT``."""
+"""Property tests: the config echo round trip, a fuzz of
+``validate --set KEY=TEXT``, and the trajectory engine on random stable
+quadratic forms."""
 
 import contextlib
 import io
 
+import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from chainsync import format_config, parse_config, resolve_spec
+from chainsync import (
+    GaussianState,
+    NormalModeTrajectory,
+    QuadraticForm,
+    evolve,
+    format_config,
+    mean_energy,
+    parse_config,
+    propagator,
+    reduce,
+    resolve_spec,
+    squeezed_vacuum_local,
+    symplectic_defect,
+)
 from chainsync.cli import main
 from chainsync.errors import ConfigError, RangeError
 from chainsync.scenarios import KEY_SPECS, PRESETS, read_config
@@ -104,3 +119,62 @@ def test_validate_set_fuzz_exits_with_a_documented_code(key, text):
     argv = ["validate", "--set", "M=20", "--set", "horizon=60", f"--set={key}={text}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3)
+
+
+@st.composite
+def stable_forms(draw, n):
+    """V = Q diag(ev) Q^T with eigenvalues ev in [0.05, 4] and Q the
+    orthogonal factor of a random matrix."""
+    ev = draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+    Q, _ = np.linalg.qr(np.reshape(entries, (n, n)))
+    return QuadraticForm((Q * ev) @ Q.T)
+
+
+@st.composite
+def engine_cases(draw):
+    """(qf, state, t, modes): a random stable form, a physical state made of
+    local squeezed thermal states pushed through a second random form's
+    propagator, a time t <= 50 and a subset of modes."""
+    n = draw(st.integers(2, 8))
+    qf = draw(stable_forms(n))
+    mixer = draw(stable_forms(n))
+    covs = [
+        (2 * draw(st.floats(0.0, 2.0)) + 1)
+        * squeezed_vacuum_local(draw(st.floats(0.2, 2.0)), draw(st.floats(-1.0, 1.0)))
+        for _ in range(n)
+    ]
+    cov = np.zeros((2 * n, 2 * n))
+    for i, c in enumerate(covs):
+        cov[np.ix_([i, n + i], [i, n + i])] = c
+    mean = draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n, max_size=2 * n))
+    state = evolve(GaussianState(mean, cov), propagator(mixer, draw(st.floats(0.0, 50.0))))
+    t = draw(st.floats(0.0, 50.0))
+    modes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return qf, state, t, modes
+
+
+def _largest(state):
+    return max(np.max(np.abs(state.mean)), np.max(np.abs(state.cov)))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(engine_cases())
+def test_engine_matches_the_propagator_on_random_stable_forms(case):
+    qf, state, t, modes = case
+    smap = propagator(qf, t)
+    assert symplectic_defect(smap) <= 1e-10
+    ref = evolve(state, smap)
+    part = reduce(ref, modes)
+    engine = NormalModeTrajectory(qf, state)
+    X, P = engine.mean_series(np.array([t]), modes)
+    cov = engine.covariance_series(np.array([t]), modes)[0]
+    tol = 1e-9 * _largest(part)
+    assert np.max(np.abs(np.concatenate([X[0], P[0]]) - part.mean)) <= tol
+    assert np.max(np.abs(cov - part.cov)) <= tol
+    full = engine.state_at(t)
+    tol = 1e-9 * _largest(ref)
+    assert np.max(np.abs(full.mean - ref.mean)) <= tol
+    assert np.max(np.abs(full.cov - ref.cov)) <= tol
+    energy = mean_energy(state, qf)
+    assert abs(mean_energy(ref, qf) - energy) <= 1e-9 * energy
