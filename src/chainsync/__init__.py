@@ -12,16 +12,13 @@ from .dynamics import (
     propagator,
     reduce,
     squeezed_vacuum_local,
-    symplectic_defect,
     symplectic_form,
-    uncertainty_defect,
 )
 from .errors import (
     ChainSyncError,
     ConfigError,
     DegenerateWindow,
     InstabilityError,
-    NoCrossings,
     NonPhysical,
     ParseError,
     RangeError,
@@ -46,11 +43,9 @@ from .measures import (
     CorrelationReport,
     SyncSeries,
     correlation_report,
-    dominant_frequency,
     log_negativity,
     mutual_information,
     pearson,
-    scan_delayed_sync,
     symplectic_spectrum,
     sync_series,
     vn_entropy,
@@ -58,13 +53,11 @@ from .measures import (
 from .modes import (
     Kernels,
     RayleighReport,
-    ResonantModes,
     SystemModes,
     chain_rayleigh_report,
     damping_kernels,
     ohmic_gap_ratio,
     rayleigh_reduction,
-    resonant_mode_indices,
     solve_gqle_means,
     system_eigenfrequencies,
     system_mode_angle,
@@ -75,7 +68,6 @@ from .scenarios import (
     RunRecord,
     ScenarioSpec,
     format_config,
-    parse_config,
     resolve_spec,
     run_scenario,
     simulate,

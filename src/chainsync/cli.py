@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, InstabilityError
+from .errors import ConfigError, InstabilityError, ZeroModeError
 from .lattice import assemble_full_potential, check_stability
 from .scenarios import (
     KEY_SPECS,
@@ -125,7 +125,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InstabilityError as exc:
+    # a chain mode of zero frequency puts the smallest eigenvalue of the
+    # composite potential below the stability tolerance as well (interlacing)
+    except (InstabilityError, ZeroModeError) as exc:
         print(f"unstable configuration: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except OSError as exc:

@@ -98,14 +98,6 @@ class SymplecticMap:
     """Linear phase-space propagator over a fixed time."""
 
     S: np.ndarray
-    t: float
-
-
-def uncertainty_defect(cov: np.ndarray) -> float:
-    """Smallest eigenvalue of cov + (i/2) J; >= 0 for physical states."""
-    n = cov.shape[0] // 2
-    test = cov.astype(complex) + 0.5j * symplectic_form(n)
-    return float(np.linalg.eigvalsh(test)[0].real)
 
 
 def squeezed_vacuum_local(omega: float, r: float) -> np.ndarray:
@@ -157,18 +149,15 @@ def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> Gaus
     return GaussianState(mean, cov)
 
 
-def phasor_trig(nu, t, z):
+def phasor_trig(nu, z):
     """cos(nu t), sin(nu t)/nu and nu sin(nu t) from the phasor z =
-    exp(i nu t), broadcast over nu and t; the middle one has the analytic
-    t limit at nu = 0."""
-    moving = nu != 0
-    sinc_ = np.where(moving, z.imag / np.where(moving, nu, 1.0), t)
-    return z.real, sinc_, nu * z.imag
+    exp(i nu t) of positive frequencies nu, broadcast over nu and t."""
+    return z.real, z.imag / nu, nu * z.imag
 
 
 def mode_trig(nu, t):
     """``phasor_trig`` at times t, broadcast over nu and t."""
-    return phasor_trig(nu, t, np.exp(1j * (nu * t)))
+    return phasor_trig(nu, np.exp(1j * (nu * t)))
 
 
 def uniform_step(times) -> float:
@@ -188,7 +177,7 @@ def uniform_step(times) -> float:
 
 
 def phasor_blocks(nu, times):
-    """(slice, t, z) per block of at most _TIME_CHUNK times, with z =
+    """(slice, z) per block of at most _TIME_CHUNK times t, with z =
     exp(i nu t) of shape (block, len(nu)).
 
     A block that lies on the uniform grid spanned by ``times`` is the
@@ -210,29 +199,28 @@ def phasor_blocks(nu, times):
             z = W[:m] * np.exp(1j * (nu * t[0]))
         else:
             z = np.exp(1j * (t[:, None] * nu))
-        yield slice(lo, lo + m), t, z
+        yield slice(lo, lo + m), z
 
 
-def spectrum(qf: QuadraticForm, stability_tol: float = DEFAULT_STABILITY_TOL, check: bool = True):
+def spectrum(qf: QuadraticForm):
     """Normal modes ``(nu, O, min_eig)`` of V = O diag(nu^2) O^T from one
-    ``eigh``.  With ``check``, min_eig <= ``stability_tol`` raises
-    InstabilityError; otherwise negative eigenvalues become zero modes."""
+    ``eigh``; min_eig <= DEFAULT_STABILITY_TOL raises InstabilityError,
+    so every nu is at least 1e-5."""
     evals, O = np.linalg.eigh(qf.V)
     min_eig = float(evals[0])
-    if check and min_eig <= stability_tol:
-        raise InstabilityError(min_eig, stability_tol)
-    return np.sqrt(np.clip(evals, 0.0, None)), O, min_eig
+    if min_eig <= DEFAULT_STABILITY_TOL:
+        raise InstabilityError(min_eig, DEFAULT_STABILITY_TOL)
+    return np.sqrt(evals), O, min_eig
 
 
-def propagator(
-    qf: QuadraticForm, t: float, stability_tol: float = DEFAULT_STABILITY_TOL, check: bool = True
-) -> SymplecticMap:
-    """Exact phase-space propagator of H = p^T p / 2 + x^T V x / 2.
+def propagator(qf: QuadraticForm, t: float) -> SymplecticMap:
+    """Exact phase-space propagator of H = p^T p / 2 + x^T V x / 2 for a
+    stable form (an unstable one raises InstabilityError).
 
     Diagonalizes V once and rotates the per-mode solution back to the
     site basis; the result satisfies S J S^T = J to round-off.
     """
-    nu, O, _ = spectrum(qf, stability_tol, check)
+    nu, O, _ = spectrum(qf)
     cos_, sinc_, nusin = mode_trig(nu, t)
     N = qf.dim
     S = np.empty((2 * N, 2 * N))
@@ -241,14 +229,7 @@ def propagator(
     S[N:, N:] = C
     S[:N, N:] = (O * sinc_[None, :]) @ O.T
     S[N:, :N] = -(O * nusin[None, :]) @ O.T
-    return SymplecticMap(S, float(t))
-
-
-def symplectic_defect(smap: SymplecticMap) -> float:
-    """max |S J S^T - J|, the symplecticity residual."""
-    n = smap.S.shape[0] // 2
-    J = symplectic_form(n)
-    return float(np.max(np.abs(smap.S @ J @ smap.S.T - J)))
+    return SymplecticMap(S)
 
 
 def evolve(state: GaussianState, smap: SymplecticMap) -> GaussianState:

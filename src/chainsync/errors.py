@@ -34,10 +34,6 @@ class DegenerateWindow(ChainSyncError):
     """Pearson window where at least one signal is constant."""
 
 
-class NoCrossings(ChainSyncError):
-    """Signal has no sign changes in the requested window."""
-
-
 class NonPhysical(ChainSyncError):
     """Symplectic eigenvalue below the vacuum floor on a state claimed
     physical."""

@@ -95,8 +95,8 @@ class ProbePair:
 class QuadraticForm:
     """Symmetric potential matrix of the composite system.
 
-    ``V`` is (M+2) x (M+2); probes occupy rows 0 and 1, chain sites follow.
-    Use the accessors instead of hard-coding offsets.
+    ``V`` is (M+2) x (M+2); probes occupy rows 0 and 1, and chain site s
+    (1-based) is row s + 1.
     """
 
     V: np.ndarray
@@ -108,22 +108,6 @@ class QuadraticForm:
     @property
     def dim(self) -> int:
         return self.V.shape[0]
-
-    @property
-    def n_chain(self) -> int:
-        return self.dim - 2
-
-    def probe_block(self) -> np.ndarray:
-        return self.V[:2, :2].copy()
-
-    def chain_block(self) -> np.ndarray:
-        return self.V[2:, 2:].copy()
-
-    def chain_index(self, site: int) -> int:
-        """Row/column of chain site (1-based) in the composite matrix."""
-        if not 1 <= site <= self.n_chain:
-            raise IndexError(f"chain site {site} outside [1, {self.n_chain}]")
-        return 1 + site
 
 
 def build_chain_potential(cfg: NetworkConfig) -> np.ndarray:

@@ -15,29 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import symplectic_form, uniform_step
-from .errors import DegenerateWindow, NoCrossings, NonPhysical
+from .errors import DegenerateWindow, NonPhysical
 
 MIN_WINDOW_SAMPLES = 8
 _VAR_FLOOR = 1e-30
 
 
-def pearson(f, g, times=None, window=None) -> float:
-    """Pearson correlation of two signals over a window.
+def pearson(f, g) -> float:
+    """Pearson correlation of two equally sampled signals.
 
-    With ``times`` and ``window = (t0, t1)`` the arrays are sliced to the
-    window first; otherwise they are used whole.  Raises DegenerateWindow
-    when either signal is (numerically) constant.
+    Raises DegenerateWindow when either signal is (numerically) constant.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape != g.shape:
         raise ValueError("signals must share the sample grid")
-    if window is not None:
-        if times is None:
-            raise ValueError("window selection needs the time grid")
-        t0, t1 = window
-        mask = (np.asarray(times) >= t0) & (np.asarray(times) <= t1)
-        f, g = f[mask], g[mask]
     if f.size < MIN_WINDOW_SAMPLES:
         raise ValueError(f"window holds {f.size} samples, need >= {MIN_WINDOW_SAMPLES}")
     df = f - f.mean()
@@ -54,7 +46,7 @@ class SyncSeries:
     """Windowed synchronization indicator over a trajectory pair.
 
     ``values[i]`` is the Pearson correlation over [times[i], times[i] +
-    window], NaN where a window was degenerate (see ``defined``).
+    window], NaN where a window was degenerate.
     """
 
     times: np.ndarray
@@ -62,10 +54,6 @@ class SyncSeries:
     window: float
     stride: float
     delay: float = 0.0
-
-    @property
-    def defined(self) -> np.ndarray:
-        return np.isfinite(self.values)
 
     def in_band(self, t0: float, t1: float) -> np.ndarray:
         """Values of windows starting inside [t0, t1]."""
@@ -124,49 +112,6 @@ def sync_series(times, f, g, window, stride, delay: float = 0.0) -> SyncSeries:
             values.append(c)
         i += step
     return SyncSeries(np.array(starts), np.array(values), window, stride, delay)
-
-
-def scan_delayed_sync(times, f, g, window, stride, delays, band=None):
-    """Grid scan over delays, maximizing |C|; ties break toward zero delay.
-
-    Returns ``(best_delay, best_abs_c, best_series)``.  With ``band =
-    (t0, t1)`` only windows starting inside the band are scored.
-    """
-    best = None
-    for delay in sorted(np.asarray(delays, dtype=float), key=lambda d: (abs(d), d)):
-        series = sync_series(times, f, g, window, stride, delay)
-        vals = series.in_band(*band) if band is not None else series.values
-        vals = vals[np.isfinite(vals)]
-        if vals.size == 0:
-            continue
-        score = float(np.max(np.abs(vals)))
-        if best is None or score > best[1]:
-            best = (delay, score, series)
-    if best is None:
-        raise ValueError("no scorable windows in the delay scan")
-    return best
-
-
-def dominant_frequency(times, f, window=None) -> float:
-    """Oscillation frequency from the mean zero-crossing spacing.
-
-    Crossing times are linearly interpolated; the frequency is pi over the
-    mean half-period.  The window should span at least a few periods.
-    """
-    times = np.asarray(times, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if window is not None:
-        t0, t1 = window
-        mask = (times >= t0) & (times <= t1)
-        times, f = times[mask], f[mask]
-    s = np.sign(f)
-    flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    if flips.size < 2:
-        raise NoCrossings("signal does not change sign often enough in the window")
-    tc = times[flips] - f[flips] * (times[flips + 1] - times[flips]) / (
-        f[flips + 1] - f[flips]
-    )
-    return float(np.pi / np.mean(np.diff(tc)))
 
 
 def symplectic_spectrum(cov, validate: bool = True) -> np.ndarray:

@@ -44,13 +44,9 @@ def system_mode_angle(omega1: float, omega2: float, lam: float) -> float:
     Branch: theta -> 0 as lam -> 0 with omega2 > omega1, theta = pi/4 for
     identical probes with lam > 0, and theta -> pi/2 in the lam = 0,
     omega2 < omega1 corner.  The degenerate case lam = 0, omega1 = omega2
-    (any angle diagonalizes) returns 0; see ``angle_is_degenerate``.
+    (any angle diagonalizes) returns 0.
     """
     return _rotation_angle(omega1**2, omega2**2, -lam)
-
-
-def angle_is_degenerate(omega1: float, omega2: float, lam: float) -> bool:
-    return lam == 0.0 and omega1 == omega2
 
 
 def system_eigenfrequencies(omega1: float, omega2: float, lam: float):
@@ -146,7 +142,7 @@ def damping_kernels(
     times = np.asarray(times, dtype=float)
     weights = np.stack([modes.c1**2, modes.c2**2, modes.c1 * modes.c2]) * (1.0 / omegas**2)
     sampled = np.empty((3, times.size))
-    for block, _, z in phasor_blocks(omegas, times):
+    for block, z in phasor_blocks(omegas, times):
         cosm = np.ascontiguousarray(z.real)
         for row, w in zip(sampled, weights):
             row[block] = cosm @ w
@@ -266,35 +262,6 @@ def chain_rayleigh_report(
     g11, g12, g22 = (c1 * w) @ c1, (c1 * w) @ c2, (c2 * w) @ c2
     G = np.array([[g11, g12], [g12, g22]])
     return rayleigh_reduction(probe_stiffness(probes), G, sync_threshold)
-
-
-@dataclass(frozen=True)
-class ResonantModes:
-    """Chain mode indices (1-based) closest to the two probe frequencies,
-    with in-band flags; a probe frequency outside the chain band has no
-    resonance."""
-
-    k_minus: int
-    k_plus: int
-    minus_in_band: bool
-    plus_in_band: bool
-
-
-def resonant_mode_indices(
-    Lambda1: float, Lambda2: float, chain_freqs: np.ndarray
-) -> ResonantModes:
-    omegas = np.asarray(chain_freqs, dtype=float)
-    if np.any(np.diff(omegas) < 0):
-        raise ValueError("chain frequencies must be sorted ascending")
-    lo, hi = float(omegas[0]), float(omegas[-1])
-
-    def locate(lam):
-        k = int(np.argmin(np.abs(omegas - lam))) + 1
-        return k, bool(lo <= lam <= hi)
-
-    k_minus, ok_minus = locate(Lambda1)
-    k_plus, ok_plus = locate(Lambda2)
-    return ResonantModes(k_minus, k_plus, ok_minus, ok_plus)
 
 
 def solve_gqle_means(

@@ -330,12 +330,6 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     )
 
 
-def parse_config(text: str) -> ScenarioSpec:
-    """Parse config text into a fully resolved scenario."""
-    preset, overrides = read_config(text)
-    return resolve_spec(preset, overrides)
-
-
 def format_config(spec: ScenarioSpec) -> str:
     """Resolved scenario as config text; parses back to the same spec."""
     flat = spec.flat()
@@ -608,8 +602,10 @@ def sweep_plug_site(spec: ScenarioSpec, sites=None, workers: int = 1, out_dir=No
 
     Sites that fail (for example an unstable configuration) are recorded
     in sweep_record.txt and skipped; the grid is byte-identical for any
-    worker count.
+    worker count.  At most one worker process per site is started.
     """
+    if workers < 1:
+        raise RangeError(f"workers must be >= 1, got {workers}")
     if spec.preset not in ("appB_sweep", "custom"):
         raise ConfigError(
             f"plug-site sweeps expect the appB_sweep or custom preset, got {spec.preset!r}"
@@ -623,8 +619,9 @@ def sweep_plug_site(spec: ScenarioSpec, sites=None, workers: int = 1, out_dir=No
 
     flat = spec.flat()
     jobs = [(flat, spec.preset, s) for s in sites]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(jobs))
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_sweep_one, jobs))
     else:
         results = [_sweep_one(job) for job in jobs]

@@ -20,7 +20,8 @@ sin/nu and nu sin off the same phasors (``dynamics.phasor_trig``, the kernel tha
 ``dynamics.propagator`` also uses) and keep the O(N^2) per-sample
 B Sigma0 B^T product, which dominates them.  Results equal repeated
 application of propagator maps to round-off; tests cover the
-equivalence, including off-grid times and zero modes.
+equivalence, including off-grid times.  Like ``dynamics.propagator``, the
+engine accepts stable forms only, so every normal frequency is positive.
 """
 
 from __future__ import annotations
@@ -28,23 +29,17 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import GaussianState, mode_trig, phasor_blocks, phasor_trig, spectrum
-from .lattice import DEFAULT_STABILITY_TOL, QuadraticForm
+from .lattice import QuadraticForm
 
 
 class NormalModeTrajectory:
     """Closed-system trajectory of a Gaussian state under a stable
     quadratic form."""
 
-    def __init__(
-        self,
-        qf: QuadraticForm,
-        state: GaussianState,
-        stability_tol: float = DEFAULT_STABILITY_TOL,
-        check: bool = True,
-    ):
+    def __init__(self, qf: QuadraticForm, state: GaussianState):
         if state.n_modes != qf.dim:
             raise ValueError("state and potential dimensions differ")
-        self.nu, self.O, self.min_eigenvalue = spectrum(qf, stability_tol, check)
+        self.nu, self.O, self.min_eigenvalue = spectrum(qf)
         O = self.O
         N = qf.dim
         self._y0 = O.T @ state.mean[:N]
@@ -66,18 +61,14 @@ class NormalModeTrajectory:
         rows = self.O[list(modes), :]
         k = rows.shape[0]
         nu, y0, pi0 = self.nu, self._y0, self._pi0
-        # x = Re(z a) and p = Re(z i nu a) with a = y0 - i pi0 / nu; a
-        # zero mode keeps its exact limit x = y0 + pi0 t, p = pi0
-        moving = nu != 0
-        a = y0 - 1j * pi0 / np.where(moving, nu, 1.0)
-        a[~moving] = y0[~moving]
+        # x = Re(z a) and p = Re(z i nu a) with a = y0 - i pi0 / nu
+        a = y0 - 1j * pi0 / nu
         coef = np.concatenate([rows.T * a[:, None], rows.T * (pi0 + 1j * nu * y0)[:, None]], 1)
-        drift = rows[:, ~moving] @ pi0[~moving]
         X = np.empty((times.size, k))
         P = np.empty_like(X)
-        for block, t, z in phasor_blocks(self.nu, times):
+        for block, z in phasor_blocks(self.nu, times):
             out = (z @ coef).real
-            X[block] = out[:, :k] + t[:, None] * drift
+            X[block] = out[:, :k]
             P[block] = out[:, k:]
         return X, P
 
@@ -90,9 +81,9 @@ class NormalModeTrajectory:
         N = self.n_modes
         Sigma0 = np.block([[self._Syy, self._Syp], [self._Syp.T, self._Spp]])
         out = np.empty((times.size, 2 * k, 2 * k))
-        for block, t, z in phasor_blocks(self.nu, times):
-            cos_, sinc_, nusin = phasor_trig(self.nu, t[:, None], z)
-            B = np.empty((t.size, 2 * k, 2 * N))
+        for block, z in phasor_blocks(self.nu, times):
+            cos_, sinc_, nusin = phasor_trig(self.nu, z)
+            B = np.empty((z.shape[0], 2 * k, 2 * N))
             B[:, :k, :N] = cos_[:, None, :] * rows[None, :, :]
             B[:, :k, N:] = sinc_[:, None, :] * rows[None, :, :]
             B[:, k:, :N] = -nusin[:, None, :] * rows[None, :, :]

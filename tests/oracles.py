@@ -1,4 +1,5 @@
-"""Reference solvers that the tests compare chainsync against.
+"""Reference solvers that the tests compare chainsync against, and the
+checks that only tests apply to its results.
 
 They share no code with the package's closed-form propagation, which is
 what makes them independent cross-checks.
@@ -15,6 +16,8 @@ from chainsync import (
     log_negativity,
     rayleigh_reduction,
     revival_time,
+    symplectic_form,
+    sync_series,
     system_eigenfrequencies,
     vn_entropy,
 )
@@ -72,6 +75,20 @@ def rk4_reference(
     return GaussianState(m, s)
 
 
+def uncertainty_defect(cov: np.ndarray) -> float:
+    """Smallest eigenvalue of cov + (i/2) J; >= 0 for physical states."""
+    n = cov.shape[0] // 2
+    test = cov.astype(complex) + 0.5j * symplectic_form(n)
+    return float(np.linalg.eigvalsh(test)[0].real)
+
+
+def symplectic_defect(smap) -> float:
+    """max |S J S^T - J|, the symplecticity residual of a SymplecticMap."""
+    n = smap.S.shape[0] // 2
+    J = symplectic_form(n)
+    return float(np.max(np.abs(smap.S @ J @ smap.S.T - J)))
+
+
 def correlation_loop(covs):
     """(E, MI, S1, S2, S12) of each two-mode covariance from one
     ``eigvals`` call per 4x4 and 2x2 matrix.
@@ -86,6 +103,52 @@ def correlation_loop(covs):
         s12 = vn_entropy(c)
         rows.append((log_negativity(c), s1 + s2 - s12, s1, s2, s12))
     return tuple(np.array(rows).reshape(-1, 5).T)
+
+
+def scan_delayed_sync(times, f, g, window, stride, delays, band=None):
+    """Grid scan over delays, maximizing |C|; ties break toward zero delay.
+
+    Returns ``(best_delay, best_abs_c, best_series)``.  With ``band =
+    (t0, t1)`` only windows starting inside the band are scored.  The
+    maximum over delays is biased toward 1, so it is a test check, not a
+    run measure.
+    """
+    best = None
+    for delay in sorted(np.asarray(delays, dtype=float), key=lambda d: (abs(d), d)):
+        series = sync_series(times, f, g, window, stride, delay)
+        vals = series.in_band(*band) if band is not None else series.values
+        vals = vals[np.isfinite(vals)]
+        if vals.size == 0:
+            continue
+        score = float(np.max(np.abs(vals)))
+        if best is None or score > best[1]:
+            best = (delay, score, series)
+    if best is None:
+        raise ValueError("no scorable windows in the delay scan")
+    return best
+
+
+def dominant_frequency(times, f, window=None) -> float:
+    """Oscillation frequency from the mean zero-crossing spacing.
+
+    Crossing times are linearly interpolated; the frequency is pi over the
+    mean half-period.  The window should span at least a few periods; a
+    signal with fewer than two sign changes in it raises ValueError.
+    """
+    times = np.asarray(times, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if window is not None:
+        t0, t1 = window
+        mask = (times >= t0) & (times <= t1)
+        times, f = times[mask], f[mask]
+    s = np.sign(f)
+    flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    if flips.size < 2:
+        raise ValueError("signal does not change sign often enough in the window")
+    tc = times[flips] - f[flips] * (times[flips + 1] - times[flips]) / (
+        f[flips + 1] - f[flips]
+    )
+    return float(np.pi / np.mean(np.diff(tc)))
 
 
 def cosine_kernels(c1, c2, chain_freqs, times):

@@ -18,7 +18,6 @@ from chainsync import (
     chain_normal_modes,
     chain_rayleigh_report,
     damping_kernels,
-    dominant_frequency,
     evolve,
     initial_composite_state,
     log_negativity,
@@ -33,18 +32,16 @@ from chainsync import (
     solve_gqle_means,
     squeezed_vacuum_local,
     sweep_plug_site,
-    symplectic_defect,
     symplectic_spectrum,
     system_mode_angle,
     system_modes,
     ohmic_gap_ratio,
-    uncertainty_defect,
     vn_entropy,
 )
 from chainsync.modes import mode_rotation
 from chainsync.trajectory import NormalModeTrajectory
 
-from oracles import rk4_reference
+from oracles import dominant_frequency, rk4_reference, symplectic_defect, uncertainty_defect
 
 
 def report(num, name, ok, detail=""):

@@ -16,16 +16,14 @@ from chainsync import (
     propagator,
     reduce,
     squeezed_vacuum_local,
-    symplectic_defect,
     symplectic_form,
     symplectic_spectrum,
-    uncertainty_defect,
 )
 from chainsync.lattice import chain_normal_modes
 from chainsync.scenarios import PRESETS, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
 
-from oracles import rk4_reference
+from oracles import rk4_reference, symplectic_defect, uncertainty_defect
 
 
 def small_system(M=10, K=0.2, lam=0.5, omega2=1.1, r=(0.0, 0.0), x0=(0.14, 1.4)):
@@ -224,13 +222,6 @@ def test_propagator_identity_and_quarter_period():
     assert np.allclose(S, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
 
 
-def test_propagator_zero_mode_limit():
-    # free particle: x -> x + t p, needs the sin(nu t)/nu -> t branch
-    qf = QuadraticForm(np.array([[0.0]]))
-    S = propagator(qf, 2.5, check=False).S
-    assert np.allclose(S, [[1.0, 2.5], [0.0, 1.0]], atol=1e-12)
-
-
 def test_propagator_rejects_unstable_form():
     with pytest.raises(InstabilityError):
         propagator(QuadraticForm(np.array([[0.01, 1.0], [1.0, 0.16]])), 1.0)
@@ -334,23 +325,23 @@ def test_reduce_identity_and_marginals():
     assert nus[0] > 0.5 + 1e-3
 
 
-def s_matrix_probe_moments(qf, state, times, check=True):
+def s_matrix_probe_moments(qf, state, times):
     """Probe means (X, P) and covariances from the S-matrix path, one
     propagator per time."""
     X, P, covs = [], [], []
     for t in times:
-        probe = reduce(evolve(state, propagator(qf, t, check=check)), (0, 1))
+        probe = reduce(evolve(state, propagator(qf, t)), (0, 1))
         X.append(probe.mean[:2])
         P.append(probe.mean[2:])
         covs.append(probe.cov)
     return np.array(X), np.array(P), np.array(covs)
 
 
-def assert_engine_matches_s_matrix(qf, state, times, check=True):
-    eng = NormalModeTrajectory(qf, state, check=check)
+def assert_engine_matches_s_matrix(qf, state, times):
+    eng = NormalModeTrajectory(qf, state)
     X, P = eng.mean_series(times)
     covs = eng.covariance_series(times)
-    X_ref, P_ref, covs_ref = s_matrix_probe_moments(qf, state, times, check)
+    X_ref, P_ref, covs_ref = s_matrix_probe_moments(qf, state, times)
     assert np.max(np.abs(X - X_ref)) <= 1e-10
     assert np.max(np.abs(P - P_ref)) <= 1e-10
     assert np.max(np.abs(covs - covs_ref)) <= 1e-10
@@ -373,22 +364,3 @@ def test_engine_grid_not_a_multiple_of_the_block():
     cfg, qf, state = small_system(M=12, r=(0.4, 0.0))
     times = np.arange(2 * _TIME_CHUNK + 37) * 0.3 + 5.0
     assert_engine_matches_s_matrix(qf, state, times)
-
-
-def test_engine_exact_zero_mode():
-    # V = [[1, -1], [-1, 1]] (+) a stable block has an exact zero mode: a
-    # free centre-of-mass drift that check=False lets through
-    V = np.zeros((4, 4))
-    V[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
-    V[2:, 2:] = [[2.0, -0.5], [-0.5, 1.5]]
-    qf = QuadraticForm(V)
-    cov = np.diag([0.6, 0.5, 0.7, 0.9, 0.5, 0.6, 0.8, 0.4])
-    cov[0, 4] = cov[4, 0] = 0.1
-    state = GaussianState(np.array([0.3, -0.2, 0.1, 0.0, 0.5, 0.7, -0.1, 0.2]), cov)
-    eng = NormalModeTrajectory(qf, state, check=False)
-    assert np.min(eng.nu) == 0.0
-    times = np.arange(301) * 0.1
-    assert_engine_matches_s_matrix(qf, state, times, check=False)
-    X, _ = eng.mean_series(times)
-    # the drift of (x1 + x2) / 2 is the mean momentum (p1 + p2) / 2
-    assert np.allclose(X.sum(axis=1) / 2, 0.05 + 0.6 * times, atol=1e-10)

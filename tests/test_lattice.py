@@ -71,10 +71,10 @@ def test_assemble_decoupled_is_block_diagonal():
     cfg = NetworkConfig(M=5, omega0=0.5, g=1.0)
     probes = ProbePair(omega2=1.3, lam=0.0, K=0.0, site_m=2, site_n=4)
     qf = assemble_full_potential(cfg, probes)
-    assert np.allclose(qf.probe_block(), np.diag([1.0, 1.69]), rtol=1e-14)
+    assert np.allclose(qf.V[:2, :2], np.diag([1.0, 1.69]), rtol=1e-14)
     assert np.allclose(qf.V[:2, 2:], 0.0)
     # spectrum is the union of probe and chain spectra
-    expected = np.sort(np.concatenate([[1.0, 1.69], np.linalg.eigvalsh(qf.chain_block())]))
+    expected = np.sort(np.concatenate([[1.0, 1.69], np.linalg.eigvalsh(qf.V[2:, 2:])]))
     assert np.allclose(np.linalg.eigvalsh(qf.V), expected, atol=1e-12)
 
 
@@ -82,8 +82,8 @@ def test_assemble_k0_spectrum_union_with_coupling():
     cfg = NetworkConfig(M=8, omega0=0.4, g=1.2)
     probes = ProbePair(omega2=1.1, lam=0.5, K=0.0, site_m=1, site_n=1)
     qf = assemble_full_potential(cfg, probes)
-    probe_eigs = np.linalg.eigvalsh(qf.probe_block())
-    chain_eigs = np.linalg.eigvalsh(qf.chain_block())
+    probe_eigs = np.linalg.eigvalsh(qf.V[:2, :2])
+    chain_eigs = np.linalg.eigvalsh(qf.V[2:, 2:])
     expected = np.sort(np.concatenate([probe_eigs, chain_eigs]))
     assert np.allclose(np.linalg.eigvalsh(qf.V), expected, atol=1e-10)
 
@@ -110,8 +110,9 @@ def test_assemble_sign_flip_and_sites():
     qf = assemble_full_potential(
         cfg, ProbePair(omega2=1.1, lam=0.0, K=0.25, site_m=2, site_n=5, sign2=-1)
     )
-    assert qf.V[0, qf.chain_index(2)] == 0.25
-    assert qf.V[1, qf.chain_index(5)] == -0.25
+    # chain site s is row s + 1
+    assert qf.V[0, 1 + 2] == 0.25
+    assert qf.V[1, 1 + 5] == -0.25
     assert np.count_nonzero(qf.V[:2, 2:]) == 2
 
 

@@ -14,7 +14,6 @@ from chainsync import (
     initial_composite_state,
     ohmic_gap_ratio,
     rayleigh_reduction,
-    resonant_mode_indices,
     solve_gqle_means,
     squeezed_vacuum_local,
     system_eigenfrequencies,
@@ -25,7 +24,6 @@ from chainsync.dynamics import _TIME_CHUNK
 from chainsync.lattice import assemble_full_potential, build_chain_potential
 from chainsync.modes import (
     SystemModes,
-    angle_is_degenerate,
     mode_rotation,
     probe_stiffness,
 )
@@ -58,9 +56,7 @@ def test_angle_limits():
 
 
 def test_angle_degenerate_case():
-    assert angle_is_degenerate(1.0, 1.0, 0.0)
     assert system_mode_angle(1.0, 1.0, 0.0) == 0.0
-    assert not angle_is_degenerate(1.0, 1.1, 0.0)
 
 
 def test_angle_fig2_value():
@@ -361,30 +357,6 @@ def test_rayleigh_report_is_invariant_under_network_relabelling():
     scale = np.max(np.abs(reports[0].Gp))
     assert np.max(np.abs(reports[0].Gp - reports[1].Gp)) <= 1e-12 * scale
     assert reports[0].predicts_sync == reports[1].predicts_sync
-
-
-def test_resonant_mode_indices():
-    freqs = np.array([0.4, 0.8, 1.2, 1.6, 2.0])
-    res = resonant_mode_indices(1.2, 1.9, freqs)
-    assert res.k_minus == 3 and res.minus_in_band
-    assert res.k_plus == 5 and res.plus_in_band
-    below = resonant_mode_indices(0.2, 1.0, freqs)
-    assert not below.minus_in_band and below.k_minus == 1
-    # equidistant tie breaks toward the lower index
-    tie = resonant_mode_indices(0.6, 1.0, freqs)
-    assert tie.k_minus == 1
-    with pytest.raises(ValueError):
-        resonant_mode_indices(1.0, 1.2, freqs[::-1])
-
-
-def test_resonant_mode_indices_fig2_bruteforce():
-    cfg = NetworkConfig(M=300, omega0=0.4, g=1.2)
-    omegas, _ = chain_normal_modes(cfg)
-    L1, L2 = system_eigenfrequencies(**FIG2)
-    res = resonant_mode_indices(L1, L2, omegas)
-    assert res.k_minus == int(np.argmin(np.abs(omegas - L1))) + 1
-    assert res.k_plus == int(np.argmin(np.abs(omegas - L2))) + 1
-    assert res.minus_in_band and res.plus_in_band
 
 
 def test_gqle_decoupled_probes_are_free_cosines():

@@ -1,12 +1,14 @@
-"""Property tests: the config echo round trip, a fuzz of
-``validate --set KEY=TEXT``, and the trajectory engine on random stable
-quadratic forms."""
+"""Property tests: the config echo round trip, fuzzes of
+``validate --set KEY=TEXT`` and ``run --set ...``, and the trajectory
+engine on random stable quadratic forms."""
 
 import contextlib
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainsync import (
@@ -16,16 +18,16 @@ from chainsync import (
     evolve,
     format_config,
     mean_energy,
-    parse_config,
     propagator,
     reduce,
     resolve_spec,
     squeezed_vacuum_local,
-    symplectic_defect,
 )
 from chainsync.cli import main
 from chainsync.errors import ConfigError, RangeError
 from chainsync.scenarios import KEY_SPECS, PRESETS, read_config
+
+from oracles import symplectic_defect
 
 FAST = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -92,7 +94,7 @@ def test_config_echo_round_trips(config):
         out = overrides["out"]
         assert out == "" or _echoed_out(out) != out
         return
-    assert parse_config(format_config(spec)) == spec
+    assert resolve_spec(*read_config(format_config(spec))) == spec
 
 
 _TEXT = st.one_of(
@@ -119,6 +121,67 @@ def test_validate_set_fuzz_exits_with_a_documented_code(key, text):
     argv = ["validate", "--set", "M=20", "--set", "horizon=60", f"--set={key}={text}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3)
+
+
+_NOT_FINITE = ("nan", "inf", "-inf", "1e400", "x", "")
+
+
+def _mostly(valid, *bad):
+    """``valid`` nine times in ten; otherwise a non-finite or malformed
+    number or one of the ``bad`` texts."""
+    bad = st.sampled_from([*bad, *_NOT_FINITE])
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else valid)
+
+
+def _floats(lo, hi, *bad):
+    return _mostly(st.floats(lo, hi).map(repr), *bad)
+
+
+# each value is legal nine times in ten and otherwise non-finite, malformed
+# or out of range; K reaches past the stability bound (exit 3).  M <= 8 and
+# horizon <= 40 keep a run at a few thousand samples of at most ten modes.
+_RUN_SETTINGS = {
+    "omega0": _floats(0.0, 2.0, "-0.5"),
+    "g": _floats(0.0, 3.0, "-1"),
+    "omega2": _floats(0.1, 2.0, "0", "-1"),
+    "lambda": _floats(0.0, 2.0, "-0.1"),
+    "K": _floats(0.0, 5.0, "-0.5", "1e200"),
+    "site_m": _mostly(st.integers(1, 2).map(str), "0", "9", "1.5"),
+    "site_n": _mostly(st.integers(1, 2).map(str), "-1", "99", "2.0"),
+    "sign2": _mostly(st.sampled_from(["1", "-1"]), "0", "2"),
+    "x1": _floats(-5.0, 5.0),
+    "p2": _floats(-5.0, 5.0),
+    "r1": _floats(-3.0, 3.0),
+    "squeeze_axis": _mostly(st.sampled_from(["position", "momentum"]), "diagonal"),
+    "dt": _mostly(st.sampled_from(["0.005", "0.01", "0.02", "0.04"]), "0", "-0.02", "0.9", "1e-9"),
+    "dt_cov": _mostly(st.sampled_from(["0.05", "0.1", "0.2"]), "0", "0.3", "0.45"),
+    "window": _mostly(st.sampled_from(["4.0", "10.0", "20.0"]), "0.1", "-4", "100"),
+    "stride": _mostly(st.sampled_from(["0.4", "2.0"]), "0", "0.03", "-2"),
+    "delay": _mostly(st.sampled_from(["0.0", "0.4", "-0.4"]), "0.03", "1e9"),
+    "write_quantum": _mostly(st.sampled_from(["true", "false"]), "maybe"),
+    "bogus": st.just("1"),
+}
+
+
+@FAST
+@given(
+    st.sampled_from(sorted(PRESETS)),
+    _mostly(st.integers(2, 8).map(str), "1", "-3", "2.5"),
+    _floats(20.0, 40.0, "5", "-1"),
+    st.fixed_dictionaries({}, optional=_RUN_SETTINGS),
+)
+# a chain whose lowest mode has Omega ~ 1e-150 (exit 3, like validate)
+@example("custom", "4", "40.0", {"omega0": "0.0", "g": "1e-300"})
+def test_run_set_fuzz_exits_with_a_documented_code(preset, M, horizon, settings_):
+    sets = {"preset": preset, "M": M, "horizon": horizon, **settings_}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["run", *(f"--set={k}={v}" for k, v in sets.items()), "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert not out.exists() or list(out.iterdir()) == []
 
 
 @st.composite

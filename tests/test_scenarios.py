@@ -13,24 +13,22 @@ from chainsync import (
     assemble_full_potential,
     check_stability,
     format_config,
-    parse_config,
     resolve_spec,
     run_scenario,
-    scan_delayed_sync,
     simulate,
     sweep_plug_site,
     sync_series,
 )
 from chainsync.errors import ConfigError
-from chainsync.scenarios import MAX_SAMPLES
+from chainsync.scenarios import MAX_SAMPLES, read_config
 
-from oracles import sweep_csv_text
+from oracles import scan_delayed_sync, sweep_csv_text
 
 SMALL = {"M": 24, "horizon": 60.0, "site_n": 1}
 
 
 def test_preset_fig2_parameters():
-    spec = parse_config("preset = fig2_dissipation\n")
+    spec = resolve_spec(*read_config("preset = fig2_dissipation\n"))
     assert spec.network.M == 300
     assert spec.network.omega0 == 0.4
     assert spec.network.g == 1.2
@@ -59,7 +57,7 @@ def test_preset_table():
 
 
 def test_override_on_preset():
-    spec = parse_config("preset = fig3_common_node\nK = 0.1\n")
+    spec = resolve_spec(*read_config("preset = fig3_common_node\nK = 0.1\n"))
     assert spec.probes.K == 0.1
     assert spec.probes.lam == 0.0  # preset value kept
 
@@ -76,7 +74,7 @@ omega0 = 0.4
 [run]
 horizon = 80.0
 """
-    spec = parse_config(text)
+    spec = resolve_spec(*read_config(text))
     assert spec.network.M == 40
     assert spec.run.horizon == 80.0
     assert spec.probes.lam == 0.5
@@ -84,59 +82,59 @@ horizon = 80.0
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
-        parse_config("preset = fig2_dissipation\nK 3\n")
+        resolve_spec(*read_config("preset = fig2_dissipation\nK 3\n"))
     assert err.value.lineno == 2
     with pytest.raises(ParseError) as err:
-        parse_config("[chain]\n")
+        resolve_spec(*read_config("[chain]\n"))
     assert err.value.lineno == 1
     with pytest.raises(ParseError):
-        parse_config("M = twelve\n")
+        resolve_spec(*read_config("M = twelve\n"))
 
 
 def test_unknown_keys_are_errors():
     with pytest.raises(UnknownKey):
-        parse_config("coupling = 3\n")
+        resolve_spec(*read_config("coupling = 3\n"))
     with pytest.raises(UnknownKey):
-        parse_config("[network]\nK = 0.2\n")  # K lives in [probes]
+        resolve_spec(*read_config("[network]\nK = 0.2\n"))  # K lives in [probes]
     with pytest.raises(UnknownKey):
         resolve_spec("custom", {"nope": 1})
 
 
 def test_range_errors():
     with pytest.raises(RangeError):
-        parse_config("site_m = 0\n")
+        resolve_spec(*read_config("site_m = 0\n"))
     with pytest.raises(RangeError):
-        parse_config("site_n = 301\n")
+        resolve_spec(*read_config("site_n = 301\n"))
     with pytest.raises(RangeError):
-        parse_config("M = 1\n")
+        resolve_spec(*read_config("M = 1\n"))
     with pytest.raises(RangeError):
-        parse_config("dt = 0\n")
+        resolve_spec(*read_config("dt = 0\n"))
     with pytest.raises(RangeError):
-        parse_config("sign2 = 3\n")
+        resolve_spec(*read_config("sign2 = 3\n"))
     with pytest.raises(RangeError):
-        parse_config("preset = fig7\n")
+        resolve_spec(*read_config("preset = fig7\n"))
     with pytest.raises(RangeError):
         resolve_spec("custom", {"sweep_start": 10, "sweep_stop": 5})
     with pytest.raises(RangeError):
         resolve_spec("custom", {"squeeze_axis": "diagonal"})
     # windows shorter than sync_series accepts, on either sample grid
     with pytest.raises(RangeError):
-        parse_config("window = 1.0\n")
+        resolve_spec(*read_config("window = 1.0\n"))
     with pytest.raises(RangeError):
-        parse_config("dt = 5\n")
+        resolve_spec(*read_config("dt = 5\n"))
     # a stride off the dt_cov grid would leave c_vars unmatched (NaN)
     with pytest.raises(RangeError):
-        parse_config("dt_cov = 0.3\n")
+        resolve_spec(*read_config("dt_cov = 0.3\n"))
     # a delay off either sample grid (sync_series would raise ValueError)
     with pytest.raises(RangeError):
-        parse_config("delay = 0.03\n")
+        resolve_spec(*read_config("delay = 0.03\n"))
     with pytest.raises(RangeError):
-        parse_config("delay = 0.1\n")
-    assert parse_config("delay = -0.4\n").measure.delay == -0.4
+        resolve_spec(*read_config("delay = 0.1\n"))
+    assert resolve_spec(*read_config("delay = -0.4\n")).measure.delay == -0.4
     # no whole window fits: header-only sync.csv and NaN plateaus
     with pytest.raises(RangeError):
-        parse_config("horizon = 15\n")
-    assert parse_config("horizon = 20\n").run.horizon == 20.0
+        resolve_spec(*read_config("horizon = 15\n"))
+    assert resolve_spec(*read_config("horizon = 20\n")).run.horizon == 20.0
 
 
 def test_non_finite_values_are_range_errors():
@@ -206,7 +204,7 @@ def test_out_that_the_config_echo_cannot_carry_is_a_range_error(out):
 
 def test_out_with_inner_blanks_and_equals_signs_round_trips():
     spec = resolve_spec("custom", {"out": "my runs/a=b [1]"})
-    assert parse_config(format_config(spec)) == spec
+    assert resolve_spec(*read_config(format_config(spec))) == spec
 
 def test_c_vars_matches_variance_windows_by_start(tmp_path):
     for delay in (-2.0, 0.6, 4.0):
@@ -251,7 +249,7 @@ def test_config_roundtrip():
     spec = resolve_spec(
         "fig5_entanglement_common", {"M": 30, "site_n": 1, "horizon": 10.0, "window": 2.0}
     )
-    assert parse_config(format_config(spec)) == spec
+    assert resolve_spec(*read_config(format_config(spec))) == spec
 
 
 def test_run_scenario_writes_artifacts(tmp_path):
@@ -273,7 +271,7 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert "revival_time = 4.80000000000e+01" in record_text
     assert f"config_hash = {record.config_hash}" in record_text
     # the echoed config parses back to the same spec
-    assert parse_config((tmp_path / "config.txt").read_text()) == spec
+    assert resolve_spec(*read_config((tmp_path / "config.txt").read_text())) == spec
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -311,7 +309,7 @@ def test_squeezed_scenario_sync_on_variances():
     )
     data = simulate(spec)
     # zero-mean squeezed vacuum: mean-based windows are all degenerate
-    assert not np.any(data.sync_means.defined)
+    assert not np.any(np.isfinite(data.sync_means.values))
     assert np.all(np.isfinite(data.sync_vars.values))
     assert data.quantum is not None
     assert np.all(data.quantum.E >= 0.0)
