@@ -57,7 +57,6 @@ from .modes import (
     chain_rayleigh_report,
     damping_kernels,
     ohmic_gap_ratio,
-    rayleigh_reduction,
     solve_gqle_means,
     system_eigenfrequencies,
     system_mode_angle,

@@ -114,15 +114,20 @@ def squeezed_vacuum_local(omega: float, r: float) -> np.ndarray:
 def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> GaussianState:
     """Product state: two local probe states and the chain vacuum.
 
-    ``probe_means`` is ((x1, p1), (x2, p2)); ``probe_covs`` two 2x2
-    covariances in local (x, p) ordering.  The chain starts with zero mean
-    in its T = 0 state, sigma_xx = O diag(1/(2 Omega_j)) O^T and sigma_pp =
-    O diag(Omega_j/2) O^T with O the chain's modes, uncorrelated in x-p.
+    ``probe_means`` is ((x1, p1), (x2, p2)); ``probe_covs`` two symmetric
+    2x2 covariances in local (x, p) ordering, each positive definite with
+    symplectic eigenvalue sqrt(det) >= 1/2.  The chain starts with zero
+    mean in its T = 0 state, sigma_xx = O diag(1/(2 Omega_j)) O^T and
+    sigma_pp = O diag(Omega_j/2) O^T with O the chain's modes, uncorrelated
+    in x-p.
     """
     covs = [np.asarray(c, dtype=float) for c in probe_covs]
     for i, c in enumerate(covs):
-        if c.shape != (2, 2):
-            raise ValueError("probe covariances must be 2x2")
+        if c.shape != (2, 2) or c[0, 1] != c[1, 0]:
+            raise ValueError("probe covariances must be symmetric 2x2")
+        # with c symmetric, c[0, 0] > 0 and det > 0 make it positive definite
+        if c[0, 0] <= 0.0:
+            raise UncertaintyViolation(f"probe {i + 1} covariance is not positive definite")
         nu = float(np.sqrt(max(np.linalg.det(c), 0.0)))
         if nu < 0.5 - 1e-12:
             raise UncertaintyViolation(

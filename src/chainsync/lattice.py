@@ -207,13 +207,14 @@ def assemble_full_potential(cfg: NetworkConfig, probes: ProbePair) -> QuadraticF
     return QuadraticForm(V)
 
 
-def check_stability(qf: QuadraticForm, tol: float = DEFAULT_STABILITY_TOL) -> float:
-    """Smallest eigenvalue of V; raises InstabilityError when <= tol.
+def check_stability(qf: QuadraticForm) -> float:
+    """Smallest eigenvalue of V; raises InstabilityError when <=
+    DEFAULT_STABILITY_TOL.
 
     The tolerance separates genuine zero modes from round-off: the form is
-    accepted for dynamics only if its spectrum clears ``tol``.
+    accepted for dynamics only if its spectrum clears it.
     """
     min_eig = float(np.linalg.eigvalsh(qf.V)[0])
-    if min_eig <= tol:
-        raise InstabilityError(min_eig, tol)
+    if min_eig <= DEFAULT_STABILITY_TOL:
+        raise InstabilityError(min_eig, DEFAULT_STABILITY_TOL)
     return min_eig

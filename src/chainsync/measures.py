@@ -45,15 +45,12 @@ def pearson(f, g) -> float:
 class SyncSeries:
     """Windowed synchronization indicator over a trajectory pair.
 
-    ``values[i]`` is the Pearson correlation over [times[i], times[i] +
-    window], NaN where a window was degenerate.
+    ``values[i]`` is the Pearson correlation over the window starting at
+    ``times[i]``, NaN where that window was degenerate.
     """
 
     times: np.ndarray
     values: np.ndarray
-    window: float
-    stride: float
-    delay: float = 0.0
 
     def in_band(self, t0: float, t1: float) -> np.ndarray:
         """Values of windows starting inside [t0, t1]."""
@@ -111,29 +108,19 @@ def sync_series(times, f, g, window, stride, delay: float = 0.0) -> SyncSeries:
             starts.append(times[i])
             values.append(c)
         i += step
-    return SyncSeries(np.array(starts), np.array(values), window, stride, delay)
+    return SyncSeries(np.array(starts), np.array(values))
 
 
-def symplectic_spectrum(cov, validate: bool = True) -> np.ndarray:
+def symplectic_spectrum(cov) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, ascending.
 
-    Physical states have every eigenvalue >= 1/2; ``validate`` enforces
-    this with a 1e-6 slack.
+    Physical states have every eigenvalue >= 1/2; this is not checked here
+    (``vn_entropy`` checks it), so a partial transpose can be read too.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
     ev = np.linalg.eigvals(symplectic_form(n) @ cov)
-    nus = np.sort(np.abs(ev))[::2]
-    if validate:
-        _check_vacuum_floor(nus)
-    return nus
-
-
-def _check_vacuum_floor(nus) -> None:
-    if np.any(nus < 0.5 - 1e-6):
-        raise NonPhysical(
-            f"symplectic eigenvalue {nus.min():.9f} below the vacuum floor 1/2"
-        )
+    return np.sort(np.abs(ev))[::2]
 
 
 def _nu_entropy(nus) -> np.ndarray:
@@ -141,7 +128,8 @@ def _nu_entropy(nus) -> np.ndarray:
     symplectic eigenvalue; one below the vacuum floor 1/2 (1e-6 slack)
     raises NonPhysical."""
     nus = np.asarray(nus, dtype=float)
-    _check_vacuum_floor(nus)
+    if np.any(nus < 0.5 - 1e-6):
+        raise NonPhysical(f"symplectic eigenvalue {nus.min():.9f} below the vacuum floor 1/2")
     plus = nus + 0.5
     minus = np.clip(nus - 0.5, 0.0, None)
     safe = np.where(minus > 0, minus, 1.0)  # (nu - 1/2) ln(nu - 1/2) -> 0 at nu = 1/2
@@ -150,7 +138,7 @@ def _nu_entropy(nus) -> np.ndarray:
 
 def vn_entropy(cov) -> float:
     """Von Neumann entropy of a Gaussian state from its covariance."""
-    return float(np.sum(_nu_entropy(symplectic_spectrum(cov, validate=False))))
+    return float(np.sum(_nu_entropy(symplectic_spectrum(cov))))
 
 
 def mutual_information(cov) -> float:
@@ -174,7 +162,7 @@ def log_negativity(cov) -> float:
     if cov.shape != (4, 4):
         raise ValueError("log negativity expects a two-mode (4x4) covariance")
     P = np.diag([1.0, 1.0, 1.0, -1.0])
-    nus = symplectic_spectrum(P @ cov @ P, validate=False)
+    nus = symplectic_spectrum(P @ cov @ P)
     return float(max(0.0, -math.log(2.0 * nus[0])))
 
 

@@ -9,12 +9,11 @@ cosine sums over the chain band; ``solve_gqle_means`` integrates them for
 the mean values.  Because each kernel is exactly sum_j w_j cos(Omega_j t),
 its history sum over n steps is Re sum_j w_j A_j with per-mode phasor
 accumulators A_j <- exp(i Omega_j h) A_j + u, so the solve costs O(n M)
-rather than O(n^2).  ``rayleigh_reduction`` implements the time-local
-reduction: rotate the damping matrix into the stiffness eigenbasis by the
-closed-form 2x2 angle, drop its off-diagonal part, and predict
+rather than O(n^2).  ``chain_rayleigh_report`` implements Rayleigh's
+time-local reduction: it takes the damping matrix from the kernels'
+Markovian plateau in closed form, directly in the probe normal-mode basis
+(the stiffness eigenbasis), drops its off-diagonal part, and predicts
 synchronization from the gap between the two surviving damping rates.
-``chain_rayleigh_report`` takes that damping matrix from the kernels'
-Markovian plateau in closed form.
 """
 
 from __future__ import annotations
@@ -64,13 +63,6 @@ def mode_rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _site_couplings(network: NetworkConfig | int, probes: ProbePair):
-    """Chain frequencies and the probes' site couplings C = K [O[site_m - 1];
-    sign2 O[site_n - 1]] (2 x M) from the chain's modes O."""
-    omegas, O = chain_normal_modes(network, (probes.site_m, probes.site_n))
-    return omegas, probes.K * O * np.array([[1.0], [probes.sign2]])
-
-
 @dataclass(frozen=True)
 class SystemModes:
     """Probe normal-mode data: angle, frequencies, chain couplings."""
@@ -82,15 +74,22 @@ class SystemModes:
     c2: np.ndarray
 
 
-def system_modes(probes: ProbePair, network: NetworkConfig | int) -> SystemModes:
-    """Assemble the full normal-mode description for a probe pair: the
-    per-mode couplings (c1, c2) of the probe normal modes to the chain
-    modes are the site couplings rotated by theta.  An int ``network`` is
-    the homogeneous chain of that many sites."""
+def _probe_modes(network: NetworkConfig | int, probes: ProbePair):
+    """Chain frequencies and the SystemModes of a probe pair.  The per-mode
+    couplings (c1, c2) of the probe normal modes to the chain modes are the
+    site couplings K [O[site_m - 1]; sign2 O[site_n - 1]] of the chain's
+    modes O, rotated by theta."""
     theta = system_mode_angle(probes.omega1, probes.omega2, probes.lam)
     L1, L2 = system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam)
-    c1, c2 = mode_rotation(theta) @ _site_couplings(network, probes)[1]
-    return SystemModes(theta, L1, L2, c1, c2)
+    omegas, O = chain_normal_modes(network, (probes.site_m, probes.site_n))
+    c1, c2 = mode_rotation(theta) @ (probes.K * O * np.array([[1.0], [probes.sign2]]))
+    return omegas, SystemModes(theta, L1, L2, c1, c2)
+
+
+def system_modes(probes: ProbePair, network: NetworkConfig | int) -> SystemModes:
+    """Assemble the full normal-mode description for a probe pair.  An int
+    ``network`` is the homogeneous chain of that many sites."""
+    return _probe_modes(network, probes)[1]
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,8 @@ def damping_kernels(
 
 @dataclass(frozen=True)
 class RayleighReport:
-    """Reduced damping matrix in the stiffness eigenbasis and the derived
-    synchronization prediction."""
+    """Reduced damping matrix in the probe normal-mode basis (q1, q2) and
+    the derived synchronization prediction."""
 
     Gp: np.ndarray
     gap: float
@@ -160,43 +159,6 @@ class RayleighReport:
     ratio: float
     predicts_sync: bool
     commutator_norm: float
-
-
-def rayleigh_reduction(
-    A: np.ndarray, G: np.ndarray, sync_threshold: float = 0.5
-) -> RayleighReport:
-    """Transform the damping matrix G into the eigenbasis of the stiffness
-    A and report the diagonal gap.  The eigenvectors are the rows of the
-    rotation by the closed-form angle of A, smaller eigenvalue first.
-
-    The reduction drops the off-diagonal of G' = M^-1 G M, valid when
-    ||[G, A]|| is small against the self-dampings.  A gap between G'_11
-    and G'_22 larger than ``sync_threshold`` times the bigger rate
-    predicts transient synchronization, on the time scale tau_S set by
-    the inverse of the larger damping.
-    """
-    A = np.asarray(A, dtype=float)
-    G = np.asarray(G, dtype=float)
-    vecs = mode_rotation(_rotation_angle(A[0, 0], A[1, 1], A[0, 1])).T
-    # fix eigenvector signs for a deterministic report
-    for k in range(2):
-        if vecs[np.argmax(np.abs(vecs[:, k])), k] < 0:
-            vecs[:, k] = -vecs[:, k]
-    Gp = vecs.T @ G @ vecs
-    d1, d2 = float(Gp[0, 0]), float(Gp[1, 1])
-    big = max(abs(d1), abs(d2))
-    gap = abs(d1 - d2)
-    tau_S = 1.0 / big if big > 0 else math.inf
-    ratio = d1 / d2 if d2 != 0 else math.inf * (1.0 if d1 >= 0 else -1.0)
-    comm = A @ G - G @ A
-    return RayleighReport(
-        Gp=Gp,
-        gap=gap,
-        tau_S=tau_S,
-        ratio=ratio,
-        predicts_sync=bool(big > 0 and gap > sync_threshold * big),
-        commutator_norm=float(np.linalg.norm(comm)),
-    )
 
 
 def ohmic_gap_ratio(theta: float) -> float:
@@ -209,59 +171,59 @@ def ohmic_gap_ratio(theta: float) -> float:
     return (1.0 + s) / (1.0 - s)
 
 
-def probe_stiffness(probes: ProbePair) -> np.ndarray:
-    """2x2 stiffness of the bare probe pair in the (x1, x2) basis."""
-    return np.array(
-        [
-            [probes.omega1**2 + probes.lam, -probes.lam],
-            [-probes.lam, probes.omega2**2 + probes.lam],
-        ]
-    )
+# a damping gap above this fraction of the larger rate predicts synchronization
+_SYNC_GAP_FRACTION = 0.5
 
 
-def chain_rayleigh_report(
-    cfg: NetworkConfig,
-    probes: ProbePair,
-    sync_threshold: float = 0.5,
-    t_lo: float | None = None,
-    t_hi: float | None = None,
-    eval_freq: float | None = None,
-) -> RayleighReport:
+def chain_rayleigh_report(cfg: NetworkConfig, probes: ProbePair) -> RayleighReport:
     """Rayleigh prediction for a probe pair plugged into the chain.
 
     The time-local damping matrix is the Markovian plateau of the
-    site-basis kernels K_ab(s) = sum_j C_aj C_bj cos(Omega_j s) / Omega_j^2,
-    C = K [O[site_m - 1]; sign2 O[site_n - 1]] with O the chain's modes:
-    the mean over [t_lo, t_hi] of int_0^t K_ab(s) cos(f s) ds at the mean
-    system frequency f (a modeling choice: the finite chain only admits a
-    constant-damping description during the pre-echo transient, and the
-    gapped band makes the static friction vanish).  Per mode it is exact:
+    normal-mode kernels K_st(s) = sum_j c_s(j) c_t(j) cos(Omega_j s) /
+    Omega_j^2 of ``damping_kernels``: the mean over [t_lo, t_hi] =
+    [min(10, tau_r / 4), tau_r / 2], tau_r the revival time, of
+    int_0^t K_st(s) cos(f s) ds at the mean system frequency f =
+    (Lambda1 + Lambda2) / 2 (a modeling choice: the finite chain only
+    admits a constant-damping description during the pre-echo transient,
+    and the gapped band makes the static friction vanish).  Per mode it is
+    exact:
 
-        G = C diag(P(Omega_j) / Omega_j^2) C^T,
+        G' = [c1; c2] diag(P(Omega_j) / Omega_j^2) [c1; c2]^T,
         P(Omega) = sigma/2 sum_{a = Omega -+ f} sinc(a sigma) sinc(a delta),
 
     sigma = (t_hi + t_lo)/2, delta = (t_hi - t_lo)/2, sinc x = sin x / x;
     the dt -> 0 limit of averaging a trapezoid integral of the sampled
     kernel over the grid points in the window.
+
+    G' = R G R^T is the site-basis damping matrix G rotated into the
+    eigenbasis of the probe stiffness A, R A R^T = diag(Lambda1^2,
+    Lambda2^2).  The reduction drops G'_12, valid when ||[A, G]|| =
+    sqrt(2) (Lambda2^2 - Lambda1^2) |G'_12| (Frobenius, which the rotation
+    leaves unchanged) is small against the self-dampings.  A gap between
+    G'_11 and G'_22 larger than half the bigger rate predicts transient
+    synchronization, on the time scale tau_S set by the inverse of the
+    larger damping.
     """
     tau_r = revival_time(cfg)
-    if t_lo is None:
-        t_lo = min(10.0, 0.25 * tau_r)
-    if t_hi is None:
-        t_hi = 0.5 * tau_r
-    if not 0.0 <= t_lo <= t_hi:
-        raise ValueError(f"plateau window [{t_lo}, {t_hi}] needs 0 <= t_lo <= t_hi")
-    if eval_freq is None:
-        L1, L2 = system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam)
-        eval_freq = 0.5 * (L1 + L2)
-    omegas, (c1, c2) = _site_couplings(cfg, probes)
+    t_lo, t_hi = min(10.0, 0.25 * tau_r), 0.5 * tau_r
+    omegas, modes = _probe_modes(cfg, probes)
+    f = 0.5 * (modes.Lambda1 + modes.Lambda2)
     sigma, delta = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
-    a = np.stack([omegas - eval_freq, omegas + eval_freq])
+    a = np.stack([omegas - f, omegas + f])
     P = 0.5 * sigma * np.sum(np.sinc(a * (sigma / np.pi)) * np.sinc(a * (delta / np.pi)), axis=0)
     w = P / omegas**2
-    g11, g12, g22 = (c1 * w) @ c1, (c1 * w) @ c2, (c2 * w) @ c2
-    G = np.array([[g11, g12], [g12, g22]])
-    return rayleigh_reduction(probe_stiffness(probes), G, sync_threshold)
+    cw1, cw2 = modes.c1 * w, modes.c2 * w
+    g11, g12, g22 = float(cw1 @ modes.c1), float(cw1 @ modes.c2), float(cw2 @ modes.c2)
+    big = max(abs(g11), abs(g22))
+    gap = abs(g11 - g22)
+    return RayleighReport(
+        Gp=np.array([[g11, g12], [g12, g22]]),
+        gap=gap,
+        tau_S=1.0 / big if big > 0 else math.inf,
+        ratio=g11 / g22 if g22 != 0 else math.inf * (1.0 if g11 >= 0 else -1.0),
+        predicts_sync=bool(big > 0 and gap > _SYNC_GAP_FRACTION * big),
+        commutator_norm=math.sqrt(2.0) * (modes.Lambda2**2 - modes.Lambda1**2) * abs(g12),
+    )
 
 
 def solve_gqle_means(

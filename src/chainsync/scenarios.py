@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,9 @@ SECTIONS = ("network", "probes", "initial", "measure", "run")
 # ceiling on horizon / dt and horizon / dt_cov, about 16 times the 60,000 mean
 # samples of the longest preset; a run's arrays grow linearly with it
 MAX_SAMPLES = 1_000_000
+# ceiling on M: the set-up holds dense (M + 2)^2 and (2M + 4)^2 arrays, about
+# 3.2 GB for the initial covariance at this size
+MAX_SITES = 10_000
 
 
 def _parse_float(text):
@@ -258,6 +261,8 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     for key, val in values.items():
         if isinstance(val, float) and not math.isfinite(val):
             raise RangeError(f"{key} must be finite, got {val}")
+    if values["M"] > MAX_SITES:
+        raise RangeError(f"M={values['M']} exceeds {MAX_SITES} chain sites")
 
     try:
         network = NetworkConfig(**_section_fields(values, "network"))
@@ -296,7 +301,9 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
         except ValueError as exc:
             raise RangeError(f"{exc} ({key})") from None
     if values["squeeze_axis"] not in ("position", "momentum"):
-        raise RangeError(f"squeeze_axis must be 'position' or 'momentum'")
+        raise RangeError(
+            f"squeeze_axis must be 'position' or 'momentum', got {values['squeeze_axis']!r}"
+        )
     out = values["out"]
     # config.txt echoes out verbatim: it must read back as the same text
     if (
@@ -352,7 +359,7 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class SimulationData:
-    """In-memory trajectory bundle behind a RunRecord."""
+    """In-memory trajectory bundle that ``simulate`` returns."""
 
     times: np.ndarray
     x1: np.ndarray
@@ -377,12 +384,8 @@ class SimulationData:
 class RunRecord:
     """What a scenario run produced: files on disk plus summary metrics."""
 
-    spec: ScenarioSpec
     files: list
     summary: dict
-    version: str
-    config_hash: str
-    data: SimulationData = field(default=None, repr=False)
 
 
 def _prepare(spec: ScenarioSpec):
@@ -505,7 +508,7 @@ def _record_text(fields) -> str:
     return "".join(f"{k} = {_fmt(v) if isinstance(v, float) else v}\n" for k, v in fields)
 
 
-def _write_outputs(spec, out_dir, files, record_name, fields, summary, data=None) -> RunRecord:
+def _write_outputs(spec, out_dir, files, record_name, fields, summary) -> RunRecord:
     """Write config.txt, then ``files``, then the record file, into the
     output directory.
 
@@ -535,7 +538,7 @@ def _write_outputs(spec, out_dir, files, record_name, fields, summary, data=None
         for path in written:
             path.unlink(missing_ok=True)
         raise
-    return RunRecord(spec, [str(p) for p in written], summary, __version__, config_hash, data)
+    return RunRecord([str(p) for p in written], summary)
 
 
 def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunRecord:
@@ -575,7 +578,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunRecord:
     names = ["config.txt", *(name for name, _ in files), "record.txt"]
     fields = [*((k, str(v)) for k, v in spec.flat().items()), *summary.items(),
               ("files", ",".join(names))]
-    return _write_outputs(spec, out_dir, files, "record.txt", fields, summary, data)
+    return _write_outputs(spec, out_dir, files, "record.txt", fields, summary)
 
 
 def _sweep_one(args):

@@ -14,8 +14,8 @@ the iterator that also serves the memory kernels of
 one complex multiply per mode and sample: on a uniform grid a block is
 the cached exp(i nu k h) rotated by the exactly computed phasor of its
 first time, so no cos or sin is evaluated per sample and the phase error
-does not accumulate across blocks.  Means of k modes are then one complex
-(block x N) @ (N x 2k) product, O(N k) per sample.  Covariances read cos,
+does not accumulate across blocks.  Means of the two probes are then one
+complex (block x N) @ (N x 4) product, O(N) per sample.  Covariances read cos,
 sin/nu and nu sin off the same phasors (``dynamics.phasor_trig``, the kernel that
 ``dynamics.propagator`` also uses) and keep the O(N^2) per-sample
 B Sigma0 B^T product, which dominates them.  Results equal repeated
@@ -55,39 +55,37 @@ class NormalModeTrajectory:
     def n_modes(self) -> int:
         return self.nu.size
 
-    def mean_series(self, times, modes=(0, 1)):
-        """Means of selected modes: arrays (X, P), each (len(times), k)."""
+    def mean_series(self, times):
+        """Means of the two probes: arrays (X, P), each (len(times), 2)."""
         times = np.asarray(times, dtype=float)
-        rows = self.O[list(modes), :]
-        k = rows.shape[0]
+        rows = self.O[:2]
         nu, y0, pi0 = self.nu, self._y0, self._pi0
         # x = Re(z a) and p = Re(z i nu a) with a = y0 - i pi0 / nu
         a = y0 - 1j * pi0 / nu
         coef = np.concatenate([rows.T * a[:, None], rows.T * (pi0 + 1j * nu * y0)[:, None]], 1)
-        X = np.empty((times.size, k))
+        X = np.empty((times.size, 2))
         P = np.empty_like(X)
         for block, z in phasor_blocks(self.nu, times):
             out = (z @ coef).real
-            X[block] = out[:, :k]
-            P[block] = out[:, k:]
+            X[block] = out[:, :2]
+            P[block] = out[:, 2:]
         return X, P
 
-    def covariance_series(self, times, modes=(0, 1)):
-        """Covariance of selected modes at each time: (len(times), 2k, 2k)
-        in (x..., p...) ordering."""
+    def covariance_series(self, times):
+        """Covariance of the two probes at each time: (len(times), 4, 4) in
+        (x1, x2, p1, p2) ordering."""
         times = np.asarray(times, dtype=float)
-        rows = self.O[list(modes), :]
-        k = rows.shape[0]
+        rows = self.O[:2]
         N = self.n_modes
         Sigma0 = np.block([[self._Syy, self._Syp], [self._Syp.T, self._Spp]])
-        out = np.empty((times.size, 2 * k, 2 * k))
+        out = np.empty((times.size, 4, 4))
         for block, z in phasor_blocks(self.nu, times):
             cos_, sinc_, nusin = phasor_trig(self.nu, z)
-            B = np.empty((z.shape[0], 2 * k, 2 * N))
-            B[:, :k, :N] = cos_[:, None, :] * rows[None, :, :]
-            B[:, :k, N:] = sinc_[:, None, :] * rows[None, :, :]
-            B[:, k:, :N] = -nusin[:, None, :] * rows[None, :, :]
-            B[:, k:, N:] = cos_[:, None, :] * rows[None, :, :]
+            B = np.empty((z.shape[0], 4, 2 * N))
+            B[:, :2, :N] = cos_[:, None, :] * rows[None, :, :]
+            B[:, :2, N:] = sinc_[:, None, :] * rows[None, :, :]
+            B[:, 2:, :N] = -nusin[:, None, :] * rows[None, :, :]
+            B[:, 2:, N:] = cos_[:, None, :] * rows[None, :, :]
             flat = B.reshape(-1, 2 * N)
             M1 = (flat @ Sigma0).reshape(B.shape)
             blk = np.einsum("tia,tja->tij", M1, B)

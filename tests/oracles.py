@@ -5,16 +5,18 @@ They share no code with the package's closed-form propagation, which is
 what makes them independent cross-checks.
 """
 
+import math
+
 import numpy as np
 
 from chainsync import (
     GaussianState,
     Kernels,
     QuadraticForm,
+    RayleighReport,
     StepTooLarge,
     chain_normal_modes,
     log_negativity,
-    rayleigh_reduction,
     revival_time,
     symplectic_form,
     sync_series,
@@ -22,7 +24,6 @@ from chainsync import (
     vn_entropy,
 )
 from chainsync.dynamics import uniform_step
-from chainsync.modes import probe_stiffness
 
 
 def sine_mode_matrix(M: int) -> np.ndarray:
@@ -180,18 +181,84 @@ def markov_plateau(times, kernel, t_lo, t_hi, freq=0.0) -> float:
     return float(integral[mask].mean())
 
 
-def grid_rayleigh_report(cfg, probes, dt=None):
-    """``chain_rayleigh_report`` at its default window and frequency, with
-    each plateau sampled on a time grid of step ``dt`` (default
-    min(0.05, T_min / 50), T_min the fastest chain period)."""
+def probe_stiffness(probes) -> np.ndarray:
+    """2x2 stiffness of the bare probe pair in the (x1, x2) basis."""
+    return np.array(
+        [
+            [probes.omega1**2 + probes.lam, -probes.lam],
+            [-probes.lam, probes.omega2**2 + probes.lam],
+        ]
+    )
+
+
+def rayleigh_reduction(A, G) -> RayleighReport:
+    """Rayleigh's reduction of the damping matrix G against the stiffness A
+    by a 2x2 eigensolve.
+
+    The eigenvectors of A, smaller eigenvalue first, are signed so that the
+    larger-magnitude component of each is positive, and G' = M^T G M in
+    that basis.  A diagonal gap above half the bigger rate predicts
+    synchronization; ||[A, G]||_F is the full 2x2 commutator.
+    """
+    A = np.asarray(A, dtype=float)
+    G = np.asarray(G, dtype=float)
+    _, vecs = np.linalg.eigh(A)
+    for k in range(2):
+        if vecs[np.argmax(np.abs(vecs[:, k])), k] < 0:
+            vecs[:, k] = -vecs[:, k]
+    Gp = vecs.T @ G @ vecs
+    d1, d2 = float(Gp[0, 0]), float(Gp[1, 1])
+    big = max(abs(d1), abs(d2))
+    gap = abs(d1 - d2)
+    return RayleighReport(
+        Gp=Gp,
+        gap=gap,
+        tau_S=1.0 / big if big > 0 else math.inf,
+        ratio=d1 / d2 if d2 != 0 else math.inf * (1.0 if d1 >= 0 else -1.0),
+        predicts_sync=bool(big > 0 and gap > 0.5 * big),
+        commutator_norm=float(np.linalg.norm(A @ G - G @ A)),
+    )
+
+
+def _plateau_window(cfg, probes):
+    """(t_lo, t_hi, f) of ``chain_rayleigh_report``: the window [min(10,
+    tau_r / 4), tau_r / 2] and the mean system frequency."""
     tau_r = revival_time(cfg)
-    t_lo, t_hi = min(10.0, 0.25 * tau_r), 0.5 * tau_r
     freq = 0.5 * sum(system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam))
+    return min(10.0, 0.25 * tau_r), 0.5 * tau_r, freq
+
+
+def _site_couplings(cfg, probes):
+    """Chain frequencies and the site couplings K [O[site_m - 1]; sign2
+    O[site_n - 1]] of the chain's modes O."""
     omegas, O = chain_normal_modes(cfg)
+    C = probes.K * np.array([O[probes.site_m - 1], probes.sign2 * O[probes.site_n - 1]])
+    return omegas, C
+
+
+def site_damping_matrix(cfg, probes) -> np.ndarray:
+    """The plateau damping matrix of ``chain_rayleigh_report`` in the site
+    basis (x1, x2), C diag(P(Omega) / Omega^2) C^T, from the closed-form
+    plateau P of the mean over [t_lo, t_hi] of int_0^t cos(Omega s)
+    cos(f s) ds."""
+    t_lo, t_hi, freq = _plateau_window(cfg, probes)
+    omegas, (c1, c2) = _site_couplings(cfg, probes)
+    sigma, delta = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
+    a = np.stack([omegas - freq, omegas + freq])
+    P = 0.5 * sigma * np.sum(np.sinc(a * (sigma / np.pi)) * np.sinc(a * (delta / np.pi)), axis=0)
+    w = P / omegas**2
+    g11, g12, g22 = (c1 * w) @ c1, (c1 * w) @ c2, (c2 * w) @ c2
+    return np.array([[g11, g12], [g12, g22]])
+
+
+def grid_rayleigh_report(cfg, probes, dt=None):
+    """``chain_rayleigh_report`` with each plateau sampled on a time grid
+    of step ``dt`` (default min(0.05, T_min / 50), T_min the fastest chain
+    period) and reduced by ``rayleigh_reduction``."""
+    t_lo, t_hi, freq = _plateau_window(cfg, probes)
+    omegas, (c1, c2) = _site_couplings(cfg, probes)
     if dt is None:
         dt = min(0.05, (2.0 * np.pi / omegas.max()) / 50.0)
-    c1 = probes.K * O[probes.site_m - 1]
-    c2 = probes.sign2 * probes.K * O[probes.site_n - 1]
     times = np.arange(0.0, t_hi + dt, dt)
     g1, g2, eta = (
         markov_plateau(times, k, t_lo, t_hi, freq) for k in cosine_kernels(c1, c2, omegas, times)

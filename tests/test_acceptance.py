@@ -69,14 +69,18 @@ def fig3_weak():
     )
 
 
+FIG4 = resolve_spec("fig4_edges", {"window": 60.0, "write_quantum": False})
+FIG5 = resolve_spec("fig5_entanglement_common")
+
+
 @pytest.fixture(scope="module")
 def fig4():
-    return simulate(resolve_spec("fig4_edges", {"window": 60.0, "write_quantum": False}))
+    return simulate(FIG4)
 
 
 @pytest.fixture(scope="module")
 def fig5():
-    return simulate(resolve_spec("fig5_entanglement_common"))
+    return simulate(FIG5)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +186,7 @@ def test_criterion_4_common_node_strong_coupling(fig3_strong, fig3_weak):
 
 def test_criterion_5_cross_talk_sync(fig4):
     data = fig4
-    window = data.sync_means.window
+    window = FIG4.measure.window
     early = data.sync_means.in_band(50.0, 250.0)
     early = early[np.isfinite(early)]
     max_early = float(np.max(np.abs(early)))
@@ -229,7 +233,7 @@ def test_criterion_6_entanglement_at_common_node(fig5):
     ok_plateau = variability < 0.2
     ok_mi = bool(np.all(MI > 0.0))
 
-    window = data.sync_vars.window
+    window = FIG5.measure.window
     var_band = data.sync_vars.in_band(300.0, 550.0 - window)
     var_band = var_band[np.isfinite(var_band)]
     min_var_c = float(var_band.min())

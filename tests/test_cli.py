@@ -42,6 +42,11 @@ def test_config_error_exit_code(capsys):
     assert main(["validate", "--set", "M=twelve"]) == 2
     assert capsys.readouterr().err == "config error: not an integer: 'twelve'\n"
     assert main(["validate", "--set", "write_quantum=maybe"]) == 2
+    capsys.readouterr()
+    assert main(["validate", "--set", "squeeze_axis=sideways"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: squeeze_axis must be 'position' or 'momentum', got 'sideways'\n"
+    )
     small = ["run", "--set", "M=20", "--set", "horizon=60"]
     assert main([*small, "--set", "window=1.0"]) == 2
     assert main([*small, "--set", "dt_cov=0.3"]) == 2
@@ -136,6 +141,13 @@ def test_sample_counts_above_the_ceiling_exit_2(items, capsys):
         argv += ["--set", item]
     assert main(argv) == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+# rejected before any (M + 2)^2 array is assembled
+def test_chain_sizes_above_the_ceiling_exit_2(capsys):
+    ceiling = scenarios.MAX_SITES
+    assert main(["validate", "--set", f"M={ceiling + 1}"]) == 2
+    assert capsys.readouterr().err == f"config error: M={ceiling + 1} exceeds {ceiling} chain sites\n"
 
 
 def test_out_that_the_config_echo_cannot_carry_exits_2(capsys):

@@ -215,6 +215,19 @@ def test_initial_state_rejects_subvacuum_covariance():
         )
 
 
+# det alone passes both: -I has nu = 1, and the asymmetric block has det 26
+# while the symmetric one written from c[0, 1] has det -24
+@pytest.mark.parametrize("c, error", [
+    (-np.eye(2), UncertaintyViolation),
+    (np.array([[1.0, 5.0], [-5.0, 1.0]]), ValueError),
+])
+def test_initial_state_rejects_unphysical_covariance_with_a_valid_det(c, error):
+    cfg = NetworkConfig(M=3, omega0=0.6, g=1.0)
+    for covs in ((c, squeezed_vacuum_local(1.1, 0.0)), (squeezed_vacuum_local(1.0, 0.0), c)):
+        with pytest.raises(error, match="probe"):
+            initial_composite_state(((0.0, 0.0), (0.0, 0.0)), covs, cfg)
+
+
 def test_propagator_identity_and_quarter_period():
     qf = QuadraticForm(np.array([[1.0]]))
     assert np.allclose(propagator(qf, 0.0).S, np.eye(2), atol=1e-15)

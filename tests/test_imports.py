@@ -57,3 +57,56 @@ def test_every_export_has_a_caller_outside_the_tests():
     used = _referenced_names(modules) | _referenced_names(perfbench) | ENTRY_POINTS
     assert ENTRY_POINTS <= set(exported)
     assert sorted(set(exported) - used) == []
+
+
+def _defaulted_parameters(path):
+    """(callee name, parameter, slot) of each parameter with a default of
+    the functions defined in ``path``.  The slot is the index of the
+    positional argument that fills it (``self`` not counted), None for a
+    keyword-only one; a class is called by its own name for __init__."""
+    tree = ast.parse(path.read_text())
+    owner = {
+        id(f): c.name
+        for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+        for f in c.body if isinstance(f, ast.FunctionDef)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        bound = id(node) in owner and not static
+        name = owner[id(node)] if bound and node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        for i in range(len(positional) - len(node.args.defaults), len(positional)):
+            yield name, positional[i].arg, i - bound
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passes(call, parameter, slot):
+    """Whether ``call`` sets ``parameter``, by keyword, by position or
+    through * / ** unpacking."""
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    if slot is None:
+        return False
+    return len(call.args) > slot or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    callers = modules + sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+    calls: dict = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unpassed = [
+        f"{path.stem}.{name}({parameter})"
+        for path in modules
+        for name, parameter, slot in _defaulted_parameters(path)
+        if not any(_passes(call, parameter, slot) for call in calls.get(name, []))
+    ]
+    assert unpassed == []

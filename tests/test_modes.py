@@ -13,7 +13,6 @@ from chainsync import (
     damping_kernels,
     initial_composite_state,
     ohmic_gap_ratio,
-    rayleigh_reduction,
     solve_gqle_means,
     squeezed_vacuum_local,
     system_eigenfrequencies,
@@ -22,15 +21,18 @@ from chainsync import (
 )
 from chainsync.dynamics import _TIME_CHUNK
 from chainsync.lattice import assemble_full_potential, build_chain_potential
-from chainsync.modes import (
-    SystemModes,
-    mode_rotation,
-    probe_stiffness,
-)
+from chainsync.modes import SystemModes, mode_rotation
 from chainsync.scenarios import DEFAULTS, PRESETS, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
 
-from oracles import cosine_kernels, grid_rayleigh_report, history_sum_gqle_means
+from oracles import (
+    cosine_kernels,
+    grid_rayleigh_report,
+    history_sum_gqle_means,
+    probe_stiffness,
+    rayleigh_reduction,
+    site_damping_matrix,
+)
 
 FIG2 = dict(omega1=1.0, omega2=1.1, lam=0.5)
 
@@ -314,13 +316,52 @@ def test_chain_rayleigh_report_fig2():
 
 def test_markov_plateau_requires_samples():
     cfg = NetworkConfig(M=20, omega0=0.4, g=1.2)
-    probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=1)
-    with pytest.raises(ValueError):
-        chain_rayleigh_report(cfg, probes, t_lo=6.0, t_hi=5.0)
-    with pytest.raises(ValueError):
-        chain_rayleigh_report(cfg, probes, t_lo=-1.0, t_hi=5.0)
     with pytest.raises(ValueError):
         chain_rayleigh_report(cfg, ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=0))
+
+
+def _rayleigh_cases():
+    """(cfg, probes): the 7 presets at M = 60 (the edge presets' far probe
+    on the last site), then random pairs on both sides of theta = pi/4 and
+    at theta = pi/2 (lam = 0 with omega2 < omega1)."""
+    for name in sorted(PRESETS):
+        edge = PRESETS[name].get("site_n") == DEFAULTS["M"]
+        spec = resolve_spec(name, {"M": 60, **({"site_n": 60} if edge else {})})
+        yield spec.network, spec.probes
+    rng = np.random.default_rng(12)
+    for k in range(60):
+        M = (20, 60)[k % 2]
+        yield NetworkConfig(M=M, omega0=0.4, g=1.2), ProbePair(
+            omega2=rng.uniform(0.6, 1.5),
+            lam=0.0 if k % 5 == 0 else rng.uniform(0.0, 0.6),
+            K=rng.uniform(0.05, 0.5),
+            site_m=int(rng.integers(1, M + 1)),
+            site_n=int(rng.integers(1, M + 1)),
+            sign2=(1, -1)[k % 3 == 0],
+        )
+
+
+def test_rayleigh_report_matches_the_site_basis_reduction():
+    thetas = []
+    for cfg, probes in _rayleigh_cases():
+        rep = chain_rayleigh_report(cfg, probes)
+        ref = rayleigh_reduction(probe_stiffness(probes), site_damping_matrix(cfg, probes))
+        scale = np.max(np.abs(ref.Gp))
+        assert abs(rep.Gp[0, 0] - ref.Gp[0, 0]) <= 1e-13 * scale
+        assert abs(rep.Gp[1, 1] - ref.Gp[1, 1]) <= 1e-13 * scale
+        assert abs(abs(rep.Gp[0, 1]) - abs(ref.Gp[0, 1])) <= 1e-13 * scale
+        assert rep.Gp[1, 0] == rep.Gp[0, 1]
+        assert rep.predicts_sync == ref.predicts_sync
+        assert rep.commutator_norm == pytest.approx(ref.commutator_norm, rel=1e-12)
+        # Gp is in the (q1, q2) basis of means.csv; the oracle's sign rule
+        # flips q2 where theta > pi/4
+        theta = system_mode_angle(probes.omega1, probes.omega2, probes.lam)
+        flip = -1.0 if theta > math.pi / 4 else 1.0
+        assert np.sign(rep.Gp[0, 1]) == flip * np.sign(ref.Gp[0, 1]) != 0
+        thetas.append(theta)
+    thetas = np.array(thetas)
+    assert np.any(thetas < math.pi / 4) and np.any(thetas > math.pi / 4)
+    assert np.any(thetas == math.pi / 2)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

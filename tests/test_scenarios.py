@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -20,7 +21,7 @@ from chainsync import (
     sync_series,
 )
 from chainsync.errors import ConfigError
-from chainsync.scenarios import MAX_SAMPLES, read_config
+from chainsync.scenarios import MAX_SAMPLES, MAX_SITES, read_config
 
 from oracles import scan_delayed_sync, sweep_csv_text
 
@@ -182,6 +183,13 @@ def test_steps_beyond_the_fastest_mode_are_rejected():
 
 
 
+def test_chain_sizes_above_the_ceiling_are_range_errors():
+    assert resolve_spec("custom", {"M": MAX_SITES}).network.M == MAX_SITES
+    for M in (MAX_SITES + 1, 1_000_000):
+        with pytest.raises(RangeError, match=f"M={M} exceeds {MAX_SITES}"):
+            resolve_spec("custom", {"M": M})
+
+
 def test_sample_counts_above_the_ceiling_are_range_errors():
     for name in PRESETS:
         spec = resolve_spec(name)
@@ -212,8 +220,8 @@ def test_c_vars_matches_variance_windows_by_start(tmp_path):
             spec = resolve_spec("fig2_dissipation", dict(
                 SMALL, horizon=horizon, delay=delay, write_quantum=False
             ))
-            record = run_scenario(spec, out_dir=tmp_path)
-            data, meas = record.data, spec.measure
+            run_scenario(spec, out_dir=tmp_path)
+            data, meas = simulate(spec), spec.measure
             ref = sync_series(data.cov_times, data.var_x1, data.var_x2,
                               meas.window, meas.stride, meas.delay)
             rows = (tmp_path / "sync.csv").read_text().splitlines()[1:]
@@ -269,7 +277,8 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert (tmp_path / "quantum.csv").read_text().splitlines()[0] == "t,E,MI,S1,S2,S12"
     record_text = (tmp_path / "record.txt").read_text()
     assert "revival_time = 4.80000000000e+01" in record_text
-    assert f"config_hash = {record.config_hash}" in record_text
+    config_hash = hashlib.sha256(format_config(spec).encode()).hexdigest()
+    assert f"config_hash = {config_hash}" in record_text
     # the echoed config parses back to the same spec
     assert resolve_spec(*read_config((tmp_path / "config.txt").read_text())) == spec
 
