@@ -14,16 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, UncertaintyViolation
-from .lattice import (
-    DEFAULT_STABILITY_TOL,
-    NetworkConfig,
-    QuadraticForm,
-    chain_normal_modes,
-)
+from .lattice import DEFAULT_STABILITY_TOL, QuadraticForm, chain_normal_modes
 
-# time rows per block of ``phasor_blocks``; the block's arrays set the
-# peak memory of a series
+# time rows per block of ``phasor_blocks`` and ``phasor_sums``; the
+# block's arrays set the peak memory of a series
 _TIME_CHUNK = 256
+# on-grid blocks per product of ``phasor_sums``
+_GROUP = 16
 # rows and columns per tile when a covariance is symmetrized or checked
 _TILE = 256
 
@@ -111,7 +108,7 @@ def squeezed_vacuum_local(omega: float, r: float) -> np.ndarray:
     return np.diag([np.exp(-2.0 * r) / (2.0 * omega), omega * np.exp(2.0 * r) / 2.0])
 
 
-def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> GaussianState:
+def initial_composite_state(probe_means, probe_covs, cfg) -> GaussianState:
     """Product state: two local probe states and the chain vacuum.
 
     ``probe_means`` is ((x1, p1), (x2, p2)); ``probe_covs`` two symmetric
@@ -119,7 +116,7 @@ def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> Gaus
     symplectic eigenvalue sqrt(det) >= 1/2.  The chain starts with zero
     mean in its T = 0 state, sigma_xx = O diag(1/(2 Omega_j)) O^T and
     sigma_pp = O diag(Omega_j/2) O^T with O the chain's modes, uncorrelated
-    in x-p.
+    in x-p.  ``cfg`` is the NetworkConfig or its ``chain_normal_modes``.
     """
     covs = [np.asarray(c, dtype=float) for c in probe_covs]
     for i, c in enumerate(covs):
@@ -133,7 +130,8 @@ def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> Gaus
             raise UncertaintyViolation(
                 f"probe {i + 1} covariance has symplectic eigenvalue {nu:.12f} < 1/2"
             )
-    N = cfg.M + 2
+    omegas, O = chain_normal_modes(cfg)
+    N = omegas.size + 2
     mean = np.zeros(2 * N)
     (x1, p1), (x2, p2) = probe_means
     mean[0], mean[1] = x1, x2
@@ -143,7 +141,6 @@ def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> Gaus
         cov[i, i] = c[0, 0]
         cov[N + i, N + i] = c[1, 1]
         cov[i, N + i] = cov[N + i, i] = c[0, 1]
-    omegas, O = chain_normal_modes(cfg)
     cov[2:N, 2:N] = (O / omegas) @ O.T / 2.0
     cov[N + 2 :, N + 2 :] = (O * omegas) @ O.T / 2.0
     # symmetrized in place, so GaussianState keeps it without a copy
@@ -181,30 +178,64 @@ def uniform_step(times) -> float:
     return h
 
 
-def phasor_blocks(nu, times):
-    """(slice, z) per block of at most _TIME_CHUNK times t, with z =
-    exp(i nu t) of shape (block, len(nu)).
-
-    A block that lies on the uniform grid spanned by ``times`` is the
-    cached exp(i nu k h) times the phasor of its first time, so the
-    phase is re-anchored exactly at every block start; a block off
-    that grid gets its phasors directly.
-    """
+def _grid_blocks(nu, times):
+    """The cached in-block phasors W = exp(i nu k h) of the uniform grid
+    spanned by ``times``, the slices of its blocks of at most _TIME_CHUNK
+    times, and whether each block lies on that grid."""
     n = times.size
     h = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
     steps = np.arange(min(n, _TIME_CHUNK)) * h
-    W = np.exp(1j * (steps[:, None] * nu))
     # grid offsets within a few ulps of the largest time: the phase
     # error is then of the order of the rounding of nu * t itself
     tol = 4 * np.finfo(float).eps * np.max(np.abs(times), initial=0.0)
-    for lo in range(0, n, _TIME_CHUNK):
-        t = times[lo : lo + _TIME_CHUNK]
-        m = t.size
-        if np.all(np.abs(t - t[0] - steps[:m]) <= tol):
-            z = W[:m] * np.exp(1j * (nu * t[0]))
-        else:
-            z = np.exp(1j * (t[:, None] * nu))
-        yield slice(lo, lo + m), z
+    blocks = [slice(lo, min(lo + _TIME_CHUNK, n)) for lo in range(0, n, _TIME_CHUNK)]
+    offsets = (times[b] - times[b.start] - steps[: b.stop - b.start] for b in blocks)
+    on_grid = [bool(np.all(np.abs(d) <= tol)) for d in offsets]
+    return np.exp(1j * (steps[:, None] * nu)), blocks, on_grid
+
+
+def phasor_blocks(nu, times):
+    """(slice, z) per block of at most _TIME_CHUNK times t, with z =
+    exp(i nu t) of shape (block, len(nu)); the covariance series reads it.
+
+    A block on the uniform grid spanned by ``times`` is the cached
+    exp(i nu k h) times the phasor of its first time, so the phase is
+    re-anchored exactly at every block start; a block off that grid gets
+    its phasors directly.
+    """
+    W, blocks, on_grid = _grid_blocks(nu, times)
+    for block, on in zip(blocks, on_grid):
+        t = times[block]
+        z = W[: t.size] * np.exp(1j * (nu * t[0])) if on else np.exp(1j * (t[:, None] * nu))
+        yield block, z
+
+
+def phasor_sums(nu, times, coef):
+    """Re sum_j coef[j, c] exp(i nu_j t): a float array (len(times), C).
+
+    Blocks as in ``phasor_blocks``, but an on-grid block's phasors W o p_b,
+    the cached table W scaled per mode by the block's exact start phasor
+    p_b, are never formed: (W o p_b) coef = W (p_b coef), so _GROUP blocks
+    share one real product [Re W, Im W] [Re; -Im] with their anchored
+    coefficients side by side, which yields only the real parts.  Off-grid
+    blocks take their phasors directly.
+    """
+    times, coef = np.asarray(times, dtype=float), np.asarray(coef)
+    W, blocks, on_grid = _grid_blocks(nu, times)
+    W = np.concatenate([W.real, W.imag], axis=1)
+    out = np.empty((times.size, coef.shape[1]))
+    for block in (b for b, on in zip(blocks, on_grid) if not on):
+        out[block] = (np.exp(1j * (times[block, None] * nu)) @ coef).real
+    grid = [b for b, on in zip(blocks, on_grid) if on]
+    for lo in range(0, len(grid), _GROUP):
+        group = grid[lo : lo + _GROUP]
+        starts = times[[b.start for b in group]]
+        pc = np.exp(1j * (nu[:, None] * starts))[:, :, None] * coef[:, None]
+        prod = W @ np.concatenate([pc.real, -pc.imag]).reshape(W.shape[1], -1)
+        prod = prod.reshape(W.shape[0], len(group), -1)
+        for i, block in enumerate(group):
+            out[block] = prod[: block.stop - block.start, i]
+    return out
 
 
 def spectrum(qf: QuadraticForm):

@@ -140,14 +140,20 @@ def chain_normal_modes(cfg: NetworkConfig | int, sites=None):
     sine modes O_kj = sqrt(2/(M+1)) sin(pi k j / (M+1)), O(M) per row; a
     custom network takes its rows from one ``eigh``.  A bare site count M
     stands for the homogeneous chain, whose modes do not depend on
-    Omega_0 or g; ``omegas`` is then None.
+    Omega_0 or g; ``omegas`` is then None.  The ``(omegas, O)`` returned
+    for a whole chain may stand for it too: its rows are then picked
+    without diagonalizing again.
     """
-    bare = not isinstance(cfg, NetworkConfig)
-    M = int(cfg) if bare else cfg.M
+    held = isinstance(cfg, tuple)
+    bare = not held and not isinstance(cfg, NetworkConfig)
+    M = cfg[1].shape[0] if held else int(cfg) if bare else cfg.M
     j = np.arange(1, M + 1)
     rows = j if sites is None else np.asarray(sites, dtype=int)
     if np.any((rows < 1) | (rows > M)):
         raise ValueError(f"chain sites {rows.tolist()} outside [1, {M}]")
+    if held:
+        omegas, O = cfg
+        return omegas, O if sites is None else O[rows - 1]
     if bare or cfg.coupling_matrix is None:
         O = np.sqrt(2.0 / (M + 1)) * np.sin(np.pi * np.outer(rows, j) / (M + 1))
         if bare:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import phasor_blocks
+from .dynamics import phasor_sums
 from .errors import StepTooLarge, ZeroModeError
 from .lattice import NetworkConfig, ProbePair, chain_normal_modes, revival_time
 
@@ -74,22 +74,18 @@ class SystemModes:
     c2: np.ndarray
 
 
-def _probe_modes(network: NetworkConfig | int, probes: ProbePair):
-    """Chain frequencies and the SystemModes of a probe pair.  The per-mode
-    couplings (c1, c2) of the probe normal modes to the chain modes are the
-    site couplings K [O[site_m - 1]; sign2 O[site_n - 1]] of the chain's
-    modes O, rotated by theta."""
+def system_modes(probes: ProbePair, network) -> SystemModes:
+    """Assemble the full normal-mode description for a probe pair on a
+    ``network``: a NetworkConfig, its ``chain_normal_modes`` or, for the
+    homogeneous chain of that many sites, an int.  The per-mode couplings
+    (c1, c2) of the probe normal modes to the chain modes are the site
+    couplings K [O[site_m - 1]; sign2 O[site_n - 1]] of the chain's modes
+    O, rotated by theta."""
     theta = system_mode_angle(probes.omega1, probes.omega2, probes.lam)
     L1, L2 = system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam)
-    omegas, O = chain_normal_modes(network, (probes.site_m, probes.site_n))
+    _, O = chain_normal_modes(network, (probes.site_m, probes.site_n))
     c1, c2 = mode_rotation(theta) @ (probes.K * O * np.array([[1.0], [probes.sign2]]))
-    return omegas, SystemModes(theta, L1, L2, c1, c2)
-
-
-def system_modes(probes: ProbePair, network: NetworkConfig | int) -> SystemModes:
-    """Assemble the full normal-mode description for a probe pair.  An int
-    ``network`` is the homogeneous chain of that many sites."""
-    return _probe_modes(network, probes)[1]
+    return SystemModes(theta, L1, L2, c1, c2)
 
 
 @dataclass(frozen=True)
@@ -131,21 +127,16 @@ def damping_kernels(
     """Sample gamma_1, gamma_2, eta on ``times``.
 
     gamma_s(t) = sum_j c_s(j)^2 / Omega_j^2 cos(Omega_j t), eta likewise
-    with c1 c2; the cosines are the real parts of the phasors that
-    ``dynamics.phasor_blocks`` yields.  Requires all chain frequencies
-    strictly positive.
+    with c1 c2: the three weight rows are the coefficients of one
+    ``dynamics.phasor_sums``.  Requires all chain frequencies strictly
+    positive.
     """
     omegas = np.asarray(chain_freqs, dtype=float)
     if np.any(omegas <= 0.0):
         raise ZeroModeError("damping kernels need strictly positive chain frequencies")
     times = np.asarray(times, dtype=float)
     weights = np.stack([modes.c1**2, modes.c2**2, modes.c1 * modes.c2]) * (1.0 / omegas**2)
-    sampled = np.empty((3, times.size))
-    for block, z in phasor_blocks(omegas, times):
-        cosm = np.ascontiguousarray(z.real)
-        for row, w in zip(sampled, weights):
-            row[block] = cosm @ w
-    return Kernels(times, *sampled, omegas, weights)
+    return Kernels(times, *phasor_sums(omegas, times, weights.T).T, omegas, weights)
 
 
 @dataclass(frozen=True)
@@ -175,8 +166,9 @@ def ohmic_gap_ratio(theta: float) -> float:
 _SYNC_GAP_FRACTION = 0.5
 
 
-def chain_rayleigh_report(cfg: NetworkConfig, probes: ProbePair) -> RayleighReport:
-    """Rayleigh prediction for a probe pair plugged into the chain.
+def chain_rayleigh_report(cfg: NetworkConfig, modes: SystemModes, chain_freqs) -> RayleighReport:
+    """Rayleigh prediction for a probe pair with normal modes ``modes``
+    plugged into the chain ``cfg`` of frequencies ``chain_freqs``.
 
     The time-local damping matrix is the Markovian plateau of the
     normal-mode kernels K_st(s) = sum_j c_s(j) c_t(j) cos(Omega_j s) /
@@ -206,12 +198,11 @@ def chain_rayleigh_report(cfg: NetworkConfig, probes: ProbePair) -> RayleighRepo
     """
     tau_r = revival_time(cfg)
     t_lo, t_hi = min(10.0, 0.25 * tau_r), 0.5 * tau_r
-    omegas, modes = _probe_modes(cfg, probes)
     f = 0.5 * (modes.Lambda1 + modes.Lambda2)
     sigma, delta = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
-    a = np.stack([omegas - f, omegas + f])
+    a = np.stack([chain_freqs - f, chain_freqs + f])
     P = 0.5 * sigma * np.sum(np.sinc(a * (sigma / np.pi)) * np.sinc(a * (delta / np.pi)), axis=0)
-    w = P / omegas**2
+    w = P / chain_freqs**2
     cw1, cw2 = modes.c1 * w, modes.c2 * w
     g11, g12, g22 = float(cw1 @ modes.c1), float(cw1 @ modes.c2), float(cw2 @ modes.c2)
     big = max(abs(g11), abs(g22))

@@ -22,6 +22,7 @@ from .lattice import (
     NetworkConfig,
     ProbePair,
     assemble_full_potential,
+    chain_normal_modes,
     max_group_velocity,
     revival_time,
 )
@@ -371,7 +372,6 @@ class SimulationData:
     cov_times: np.ndarray
     var_x1: np.ndarray
     var_x2: np.ndarray
-    covariances: np.ndarray
     sync_means: SyncSeries
     sync_vars: SyncSeries
     quantum: CorrelationReport | None
@@ -389,10 +389,13 @@ class RunRecord:
 
 
 def _prepare(spec: ScenarioSpec):
-    """The trajectory engine of a scenario and its mean-sample grid.
+    """The trajectory engine of a scenario, its mean-sample grid, the
+    chain frequencies and the probe normal modes.
 
-    The initial state is not returned: its dense 2N x 2N covariance is
-    freed once the engine has rotated it into normal coordinates.
+    The chain is diagonalized once, for the initial state and the modes.
+    Its M x M modes are freed before the engine diagonalizes the full
+    form, and the initial state's dense 2N x 2N covariance once the engine
+    has rotated it into normal coordinates.
     """
     cfg, probes, ini = spec.network, spec.probes, spec.initial
     qf = assemble_full_potential(cfg, probes)
@@ -401,18 +404,19 @@ def _prepare(spec: ScenarioSpec):
         squeezed_vacuum_local(probes.omega1, sign * ini.r1),
         squeezed_vacuum_local(probes.omega2, sign * ini.r2),
     )
-    state = initial_composite_state(((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, cfg)
+    omegas, O = chain_normal_modes(cfg)
+    state = initial_composite_state(((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, (omegas, O))
+    modes = system_modes(probes, (omegas, O))
+    del O
     engine = NormalModeTrajectory(qf, state)
     n = int(round(spec.run.horizon / spec.run.dt))
-    return engine, np.arange(n + 1) * spec.run.dt
+    return engine, np.arange(n + 1) * spec.run.dt, omegas, modes
 
 
 def simulate(spec: ScenarioSpec) -> SimulationData:
     """Run the scenario in memory (no files)."""
-    cfg, probes = spec.network, spec.probes
-    engine, times = _prepare(spec)
+    engine, times, omegas, modes = _prepare(spec)
     X, P = engine.mean_series(times)
-    modes = system_modes(probes, cfg)
     R = mode_rotation(modes.theta)
     Q = X @ R.T
 
@@ -426,14 +430,13 @@ def simulate(spec: ScenarioSpec) -> SimulationData:
         cov_times, covs[:, 0, 0], covs[:, 1, 1], meas.window, meas.stride, meas.delay
     )
     quantum = correlation_report(cov_times, covs) if spec.run.write_quantum else None
-    rayleigh = chain_rayleigh_report(cfg, probes)
+    rayleigh = chain_rayleigh_report(spec.network, modes, omegas)
     return SimulationData(
         times=times,
         x1=X[:, 0], x2=X[:, 1], p1=P[:, 0], p2=P[:, 1],
         q1=Q[:, 0], q2=Q[:, 1],
         cov_times=cov_times,
         var_x1=covs[:, 0, 0], var_x2=covs[:, 1, 1],
-        covariances=covs,
         sync_means=sm, sync_vars=sv,
         quantum=quantum, rayleigh=rayleigh,
         min_eigenvalue=engine.min_eigenvalue,
@@ -588,7 +591,7 @@ def _sweep_one(args):
     params["site_n"] = site
     try:
         spec = resolve_spec(preset, params)
-        engine, times = _prepare(spec)
+        engine, times, _, _ = _prepare(spec)
         X, _ = engine.mean_series(times)
         ss = sync_series(
             times, X[:, 0], X[:, 1],

@@ -8,27 +8,28 @@ eigenvalue on the engine as ``min_eigenvalue``.  It rotates the initial
 moments into normal coordinates and then evaluates probe means and
 probe-block covariances at arbitrary times directly.
 
-Per-sample cost.  Times are taken in blocks by ``dynamics.phasor_blocks``,
-the iterator that also serves the memory kernels of
-``modes.damping_kernels``.  Each block's phasors z = exp(i nu t) come from
-one complex multiply per mode and sample: on a uniform grid a block is
-the cached exp(i nu k h) rotated by the exactly computed phasor of its
-first time, so no cos or sin is evaluated per sample and the phase error
-does not accumulate across blocks.  Means of the two probes are then one
-complex (block x N) @ (N x 4) product, O(N) per sample.  Covariances read cos,
-sin/nu and nu sin off the same phasors (``dynamics.phasor_trig``, the kernel that
-``dynamics.propagator`` also uses) and keep the O(N^2) per-sample
-B Sigma0 B^T product, which dominates them.  Results equal repeated
-application of propagator maps to round-off; tests cover the
-equivalence, including off-grid times.  Like ``dynamics.propagator``, the
-engine accepts stable forms only, so every normal frequency is positive.
+Per-sample cost.  Times are taken in blocks: on a uniform grid a block's
+phasors z = exp(i nu t) are the cached exp(i nu k h) rotated by the
+exactly computed phasor of its first time, so no cos or sin is evaluated
+per sample and the phase error does not accumulate across blocks.  Means
+of the two probes are ``dynamics.phasor_sums``, as are the memory kernels
+of ``modes.damping_kernels``: the rotation moves onto the (N x 4)
+coefficients, so a group of blocks is one real (block x 2N) @ (2N x
+group*4) product, O(N) per sample, and z is never formed.  Covariances
+read cos, sin/nu and nu sin off the phasors of ``dynamics.phasor_blocks``
+(``dynamics.phasor_trig``, the kernel that ``dynamics.propagator`` also
+uses) and keep the O(N^2) per-sample B Sigma0 B^T product, which
+dominates them.  Results equal repeated application of propagator maps
+to round-off; tests cover the equivalence, including off-grid times.
+Like ``dynamics.propagator``, the engine accepts stable forms only, so
+every normal frequency is positive.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import GaussianState, mode_trig, phasor_blocks, phasor_trig, spectrum
+from .dynamics import GaussianState, mode_trig, phasor_blocks, phasor_sums, phasor_trig, spectrum
 from .lattice import QuadraticForm
 
 
@@ -57,19 +58,13 @@ class NormalModeTrajectory:
 
     def mean_series(self, times):
         """Means of the two probes: arrays (X, P), each (len(times), 2)."""
-        times = np.asarray(times, dtype=float)
         rows = self.O[:2]
         nu, y0, pi0 = self.nu, self._y0, self._pi0
         # x = Re(z a) and p = Re(z i nu a) with a = y0 - i pi0 / nu
         a = y0 - 1j * pi0 / nu
         coef = np.concatenate([rows.T * a[:, None], rows.T * (pi0 + 1j * nu * y0)[:, None]], 1)
-        X = np.empty((times.size, 2))
-        P = np.empty_like(X)
-        for block, z in phasor_blocks(self.nu, times):
-            out = (z @ coef).real
-            X[block] = out[:, :2]
-            P[block] = out[:, 2:]
-        return X, P
+        out = phasor_sums(nu, times, coef)
+        return out[:, :2], out[:, 2:]
 
     def covariance_series(self, times):
         """Covariance of the two probes at each time: (len(times), 4, 4) in

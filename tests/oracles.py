@@ -152,6 +152,14 @@ def dominant_frequency(times, f, window=None) -> float:
     return float(np.pi / np.mean(np.diff(tc)))
 
 
+def direct_phasor_sums(nu, times, coef):
+    """Re sum_j coef[j, c] exp(i nu_j t) of ``phasor_sums``, from one
+    ``np.cos`` and one ``np.sin`` per (time, mode) pair."""
+    phase = np.outer(times, nu)
+    coef = np.asarray(coef, dtype=complex)
+    return np.cos(phase) @ coef.real - np.sin(phase) @ coef.imag
+
+
 def cosine_kernels(c1, c2, chain_freqs, times):
     """(gamma1, gamma2, eta) of ``damping_kernels`` from one ``np.cos`` per
     (time, chain mode) pair."""

@@ -39,6 +39,7 @@ from chainsync import (
     vn_entropy,
 )
 from chainsync.modes import mode_rotation
+from chainsync.scenarios import _prepare
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import dominant_frequency, rk4_reference, symplectic_defect, uncertainty_defect
@@ -138,7 +139,8 @@ def test_criterion_3_rayleigh_predictor(fig3_weak):
     ok_ratio = ratio >= 50.0
 
     cfg = NetworkConfig(M=300, omega0=0.4, g=1.2)
-    fig2_ray = chain_rayleigh_report(cfg, ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=1))
+    modes = system_modes(ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=1), cfg)
+    fig2_ray = chain_rayleigh_report(cfg, modes, chain_normal_modes(cfg)[0])
     ok_predict = fig2_ray.predicts_sync
 
     weak = fig3_weak
@@ -348,8 +350,11 @@ def test_criterion_9b_energy_conservation():
 
 def test_criterion_9c_uncertainty_preservation(fig2, fig5):
     worst = math.inf
-    for data in (fig2[0], fig5):
-        for cov in data.covariances[:: max(1, data.covariances.shape[0] // 40)]:
+    fig2_spec = resolve_spec("fig2_dissipation", {"write_quantum": False})
+    for spec, data in ((fig2_spec, fig2[0]), (FIG5, fig5)):
+        # the probe covariances simulate() evolved, from the same engine on the same times
+        covs = _prepare(spec)[0].covariance_series(data.cov_times)
+        for cov in covs[:: max(1, covs.shape[0] // 40)]:
             worst = min(worst, uncertainty_defect(cov))
     ok = worst >= -1e-9
     report("9c", "uncertainty preservation of evolved states", ok, f"min defect={worst:.2e}")

@@ -23,7 +23,7 @@ from chainsync.lattice import chain_normal_modes
 from chainsync.scenarios import PRESETS, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
 
-from oracles import rk4_reference, symplectic_defect, uncertainty_defect
+from oracles import direct_phasor_sums, rk4_reference, symplectic_defect, uncertainty_defect
 
 
 def small_system(M=10, K=0.2, lam=0.5, omega2=1.1, r=(0.0, 0.0), x0=(0.14, 1.4)):
@@ -377,3 +377,45 @@ def test_engine_grid_not_a_multiple_of_the_block():
     cfg, qf, state = small_system(M=12, r=(0.4, 0.0))
     times = np.arange(2 * _TIME_CHUNK + 37) * 0.3 + 5.0
     assert_engine_matches_s_matrix(qf, state, times)
+
+
+def _phasor_sum_grid(name):
+    """Times of a named grid: the sample counts 0, 1 and 2; a uniform grid
+    over more than one product group ending in a partial block; that grid
+    with one time off it inside the first group; a non-uniform grid; and a
+    uniform grid starting at t0 != 0."""
+    from chainsync.dynamics import _GROUP, _TIME_CHUNK
+
+    long = np.arange(_GROUP * _TIME_CHUNK + 3 * _TIME_CHUNK + 37) * 0.01
+    off = long.copy()
+    off[1000] += 0.0037
+    return {
+        "empty": np.empty(0),
+        "one": np.array([2.5]),
+        "two": np.array([0.0, 0.7]),
+        "long": long,
+        "one_off_grid": off,
+        "non_uniform": np.sort(np.random.default_rng(8).uniform(0.0, 60.0, size=900)),
+        "shifted": long[:3000] + 7.3,
+    }[name]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize(
+    "grid", ["empty", "one", "two", "long", "one_off_grid", "non_uniform", "shifted"]
+)
+def test_phasor_sums_match_direct_exp_sums(grid, kind):
+    from chainsync.dynamics import phasor_sums
+
+    times = _phasor_sum_grid(grid)
+    rng = np.random.default_rng(3)
+    nu = rng.uniform(0.3, 3.0, size=30)
+    coef = rng.normal(size=(30, 3))
+    if kind == "complex":
+        coef = coef + 1j * rng.normal(size=(30, 3))
+    got = phasor_sums(nu, times, coef)
+    ref = direct_phasor_sums(nu, times, coef)
+    assert got.shape == ref.shape == (times.size, 3) and got.dtype == float
+    if times.size:
+        peak = np.max(np.abs(ref), axis=0)
+        assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-13 * peak)

@@ -44,6 +44,12 @@ def rotated_couplings(theta, K, site_m, site_n, M, sign2=1):
     return mode_rotation(theta) @ (K * np.array([O[0], sign2 * O[1]]))
 
 
+def rayleigh_report(cfg, probes):
+    """``chain_rayleigh_report`` of a probe pair on the network ``cfg``."""
+    chain = chain_normal_modes(cfg)
+    return chain_rayleigh_report(cfg, system_modes(probes, chain), chain[0])
+
+
 def random_network(M, seed):
     rng = np.random.default_rng(seed)
     A = np.triu(rng.uniform(0.0, 1.5, size=(M, M)) * (rng.random((M, M)) < 0.5), 1)
@@ -303,13 +309,13 @@ def test_ohmic_gap_ratio():
 
 def test_chain_rayleigh_report_fig2():
     cfg = NetworkConfig(M=300, omega0=0.4, g=1.2)
-    rep = chain_rayleigh_report(cfg, ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=1))
+    rep = rayleigh_report(cfg, ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=1))
     assert rep.predicts_sync
     theta = system_mode_angle(**FIG2)
     assert rep.ratio == pytest.approx(ohmic_gap_ratio(theta), rel=0.05)
     assert 5.0 < rep.tau_S < 100.0
     # weak detuned probes on a common node, no direct coupling: no gap
-    weak = chain_rayleigh_report(cfg, ProbePair(omega2=1.1, lam=0.0, K=0.1, site_m=1, site_n=1))
+    weak = rayleigh_report(cfg, ProbePair(omega2=1.1, lam=0.0, K=0.1, site_m=1, site_n=1))
     assert weak.gap == pytest.approx(0.0, abs=1e-12)
     assert not weak.predicts_sync
 
@@ -317,7 +323,7 @@ def test_chain_rayleigh_report_fig2():
 def test_markov_plateau_requires_samples():
     cfg = NetworkConfig(M=20, omega0=0.4, g=1.2)
     with pytest.raises(ValueError):
-        chain_rayleigh_report(cfg, ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=0))
+        rayleigh_report(cfg, ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=0))
 
 
 def _rayleigh_cases():
@@ -344,7 +350,7 @@ def _rayleigh_cases():
 def test_rayleigh_report_matches_the_site_basis_reduction():
     thetas = []
     for cfg, probes in _rayleigh_cases():
-        rep = chain_rayleigh_report(cfg, probes)
+        rep = rayleigh_report(cfg, probes)
         ref = rayleigh_reduction(probe_stiffness(probes), site_damping_matrix(cfg, probes))
         scale = np.max(np.abs(ref.Gp))
         assert abs(rep.Gp[0, 0] - ref.Gp[0, 0]) <= 1e-13 * scale
@@ -369,7 +375,7 @@ def test_rayleigh_plateau_is_the_grid_limit(name):
     # M = 60, with the edge presets' far probe moved to the last site
     edge = PRESETS[name].get("site_n") == DEFAULTS["M"]
     spec = resolve_spec(name, {"M": 60, **({"site_n": 60} if edge else {})})
-    rep = chain_rayleigh_report(spec.network, spec.probes)
+    rep = rayleigh_report(spec.network, spec.probes)
     scale = np.max(np.abs(rep.Gp))
 
     def grid_error(dt=None):
@@ -394,7 +400,7 @@ def test_rayleigh_report_is_invariant_under_network_relabelling():
     for C, (m, n) in ((A, sites), (A[np.ix_(perm, perm)], new_site[[s - 1 for s in sites]])):
         cfg = NetworkConfig(M=M, omega0=0.4, g=1.2, coupling_matrix=C)
         probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=int(m), site_n=int(n))
-        reports.append(chain_rayleigh_report(cfg, probes))
+        reports.append(rayleigh_report(cfg, probes))
     scale = np.max(np.abs(reports[0].Gp))
     assert np.max(np.abs(reports[0].Gp - reports[1].Gp)) <= 1e-12 * scale
     assert reports[0].predicts_sync == reports[1].predicts_sync

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -8,6 +9,7 @@ import pytest
 from chainsync import (
     PRESETS,
     InstabilityError,
+    NetworkConfig,
     ParseError,
     RangeError,
     UnknownKey,
@@ -391,11 +393,12 @@ def test_sweep_requires_sweepable_preset():
 
 
 def test_one_diagonalization_per_run_and_site(tmp_path, monkeypatch):
-    calls = []
+    calls, shapes = [], []
 
     def counting(fn):
         def counted(a, *args, **kwargs):
             calls.append(fn.__name__)
+            shapes.append(np.shape(a))
             return fn(a, *args, **kwargs)
 
         return counted
@@ -412,6 +415,17 @@ def test_one_diagonalization_per_run_and_site(tmp_path, monkeypatch):
     sweep = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0})
     sweep_plug_site(sweep, sites=[3, 4, 5], out_dir=tmp_path)
     assert calls == ["eigh"] * 3
+
+    # a custom network: its chain once, for the initial state and the probe
+    # modes, and then the composite form
+    rng = np.random.default_rng(4)
+    A = np.triu(rng.uniform(0.0, 1.5, size=(12, 12)) * (rng.random((12, 12)) < 0.5), 1)
+    spec = resolve_spec("custom", {"M": 12, "horizon": 60.0, "site_n": 7})
+    network = NetworkConfig(M=12, omega0=0.4, g=1.2, coupling_matrix=A + A.T)
+    calls.clear()
+    simulate(dataclasses.replace(spec, network=network))
+    assert calls == ["eigh"] * 2
+    assert sorted(shapes[-2:]) == [(12, 12), (14, 14)]
 
 
 def test_csv_writer_matches_per_value_formatter(tmp_path):
