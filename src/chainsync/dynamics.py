@@ -151,17 +151,6 @@ def initial_composite_state(probe_means, probe_covs, cfg) -> GaussianState:
     return GaussianState(mean, cov)
 
 
-def phasor_trig(nu, z):
-    """cos(nu t), sin(nu t)/nu and nu sin(nu t) from the phasor z =
-    exp(i nu t) of positive frequencies nu, broadcast over nu and t."""
-    return z.real, z.imag / nu, nu * z.imag
-
-
-def mode_trig(nu, t):
-    """``phasor_trig`` at times t, broadcast over nu and t."""
-    return phasor_trig(nu, np.exp(1j * (nu * t)))
-
-
 def uniform_step(times) -> float:
     """Step h of a uniform increasing grid; raises ValueError unless there
     are two or more samples and each sits on t0 + k h to 1e-6 h."""
@@ -238,6 +227,23 @@ def phasor_sums(nu, times, coef):
     return out
 
 
+def phase_map(rows, nu, z):
+    """Rows of Q D, the map from normal coordinates (y, pi) at time 0 to
+    site coordinates (x, p) at the times whose phasors exp(i nu t) are z:
+    Q = diag(O, O), and D holds [[cos, sin/nu], [-nu sin, cos]] per mode.
+    For k rows of O, the k x rows come first, then the k p rows: shape
+    (..., 2k, 2N) for z of shape (..., N).  ``phase_map(O, nu, z)`` is Q D.
+    """
+    k, N = rows.shape
+    out = np.empty(z.shape[:-1] + (2 * k, 2 * N))
+    # written in place: series call this per block, where temporaries add to peak memory
+    np.multiply(z.real[..., None, :], rows, out=out[..., :k, :N])
+    np.multiply((z.imag / nu)[..., None, :], rows, out=out[..., :k, N:])
+    np.multiply(-(nu * z.imag)[..., None, :], rows, out=out[..., k:, :N])
+    out[..., k:, N:] = out[..., :k, :N]
+    return out
+
+
 def spectrum(qf: QuadraticForm):
     """Normal modes ``(nu, O, min_eig)`` of V = O diag(nu^2) O^T from one
     ``eigh``; min_eig <= DEFAULT_STABILITY_TOL raises InstabilityError,
@@ -257,15 +263,9 @@ def propagator(qf: QuadraticForm, t: float) -> SymplecticMap:
     site basis; the result satisfies S J S^T = J to round-off.
     """
     nu, O, _ = spectrum(qf)
-    cos_, sinc_, nusin = mode_trig(nu, t)
+    D = phase_map(O, nu, np.exp(1j * (nu * t)))
     N = qf.dim
-    S = np.empty((2 * N, 2 * N))
-    C = (O * cos_[None, :]) @ O.T
-    S[:N, :N] = C
-    S[N:, N:] = C
-    S[:N, N:] = (O * sinc_[None, :]) @ O.T
-    S[N:, :N] = -(O * nusin[None, :]) @ O.T
-    return SymplecticMap(S)
+    return SymplecticMap(np.hstack([D[:, :N] @ O.T, D[:, N:] @ O.T]))
 
 
 def evolve(state: GaussianState, smap: SymplecticMap) -> GaussianState:

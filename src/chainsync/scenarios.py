@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, RangeError, UnknownKey
 from .lattice import (
+    DEFAULT_STABILITY_TOL,
     NetworkConfig,
     ProbePair,
     assemble_full_potential,
@@ -52,6 +53,15 @@ MAX_SAMPLES = 1_000_000
 # ceiling on M: the set-up holds dense (M + 2)^2 and (2M + 4)^2 arrays, about
 # 3.2 GB for the initial covariance at this size
 MAX_SITES = 10_000
+# squeezing spreads a probe's variances over e^(-2r) .. e^(2r), so a
+# symplectic eigenvalue read off the evolved covariances carries a round-off
+# of about eps e^(4r) of its vacuum value 1/2; the vacuum-floor check of the
+# quantum measures allows 1e-6, so |r| <= ln(1e-6 / eps) / 4, about 5.56
+MAX_SQUEEZE = math.log(1e-6 / np.finfo(float).eps) / 4
+# a Pearson window multiplies two sums of squares of n <= MAX_SAMPLES + 1
+# deviations, each at most twice the amplitude A of the signal:
+# (4 n A^2)^2 stays below the largest double for A up to this, about 5.8e73
+MAX_AMPLITUDE = math.sqrt(math.sqrt(np.finfo(float).max) / (MAX_SAMPLES + 1)) / 2
 
 
 def _parse_float(text):
@@ -288,6 +298,16 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     if not math.isfinite(2 * nu_bar2):  # entries of V + V^T would overflow
         raise RangeError("omega1, omega2, omega0, lambda, g or K too large: V overflows")
     nu_bar = math.sqrt(nu_bar2)
+    for key in ("r1", "r2"):
+        if abs(values[key]) > MAX_SQUEEZE:
+            raise RangeError(f"|{key}| = {abs(values[key])} exceeds {MAX_SQUEEZE:.6g}")
+    # energy bounds the means' amplitude by m sqrt(max(1, lambda_max) / lambda_min), m
+    # the norm of the initial means (the chain starts at rest); nu_bar2 bounds
+    # lambda_max, and the stability check keeps lambda_min above DEFAULT_STABILITY_TOL
+    m = math.hypot(values["x1"], values["x2"], values["p1"], values["p2"])
+    m_max = MAX_AMPLITUDE * math.sqrt(DEFAULT_STABILITY_TOL / max(1.0, nu_bar2))
+    if m > m_max:
+        raise RangeError(f"initial means (x1, x2, p1, p2) have norm {m:.6g} > {m_max:.6g}")
     can_be_stable = K * K < (min(w1 * w1, w2 * w2) + lam) * (w0 * w0 + 2 * g)
     for key, limit in (("dt", math.pi / nu_bar), ("dt_cov", math.pi / (2 * nu_bar))):
         if can_be_stable and values[key] > limit:

@@ -16,11 +16,12 @@ of the two probes are ``dynamics.phasor_sums``, as are the memory kernels
 of ``modes.damping_kernels``: the rotation moves onto the (N x 4)
 coefficients, so a group of blocks is one real (block x 2N) @ (2N x
 group*4) product, O(N) per sample, and z is never formed.  Covariances
-read cos, sin/nu and nu sin off the phasors of ``dynamics.phasor_blocks``
-(``dynamics.phasor_trig``, the kernel that ``dynamics.propagator`` also
-uses) and keep the O(N^2) per-sample B Sigma0 B^T product, which
-dominates them.  Results equal repeated application of propagator maps
-to round-off; tests cover the equivalence, including off-grid times.
+take the two probe rows B of ``dynamics.phase_map``, the map from normal
+to site coordinates that ``dynamics.propagator`` and ``state_at`` also
+use, at the phasors of ``dynamics.phasor_blocks``, and keep the O(N^2)
+per-sample B Sigma0 B^T product, which dominates them.  Results equal
+repeated application of propagator maps to round-off; tests cover the
+equivalence, including off-grid times.
 Like ``dynamics.propagator``, the engine accepts stable forms only, so
 every normal frequency is positive.
 """
@@ -29,7 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import GaussianState, mode_trig, phasor_blocks, phasor_sums, phasor_trig, spectrum
+from .dynamics import (
+    GaussianState, SymplecticMap, evolve, phase_map, phasor_blocks, phasor_sums, spectrum
+)
 from .lattice import QuadraticForm
 
 
@@ -66,53 +69,28 @@ class NormalModeTrajectory:
         out = phasor_sums(nu, times, coef)
         return out[:, :2], out[:, 2:]
 
+    def _normal_cov(self) -> np.ndarray:
+        """Initial covariance of the normal coordinates (y, pi), 2N x 2N."""
+        return np.block([[self._Syy, self._Syp], [self._Syp.T, self._Spp]])
+
     def covariance_series(self, times):
         """Covariance of the two probes at each time: (len(times), 4, 4) in
         (x1, x2, p1, p2) ordering."""
         times = np.asarray(times, dtype=float)
         rows = self.O[:2]
-        N = self.n_modes
-        Sigma0 = np.block([[self._Syy, self._Syp], [self._Syp.T, self._Spp]])
+        Sigma0 = self._normal_cov()
         out = np.empty((times.size, 4, 4))
         for block, z in phasor_blocks(self.nu, times):
-            cos_, sinc_, nusin = phasor_trig(self.nu, z)
-            B = np.empty((z.shape[0], 4, 2 * N))
-            B[:, :2, :N] = cos_[:, None, :] * rows[None, :, :]
-            B[:, :2, N:] = sinc_[:, None, :] * rows[None, :, :]
-            B[:, 2:, :N] = -nusin[:, None, :] * rows[None, :, :]
-            B[:, 2:, N:] = cos_[:, None, :] * rows[None, :, :]
-            flat = B.reshape(-1, 2 * N)
-            M1 = (flat @ Sigma0).reshape(B.shape)
+            B = phase_map(rows, self.nu, z)
+            M1 = (B.reshape(-1, Sigma0.shape[0]) @ Sigma0).reshape(B.shape)
             blk = np.einsum("tia,tja->tij", M1, B)
             out[block] = 0.5 * (blk + np.swapaxes(blk, 1, 2))
         return out
 
     def state_at(self, t: float) -> GaussianState:
-        """Full composite Gaussian state at time t (O(N^3); use sparingly)."""
-        c, d, e_ = mode_trig(self.nu, float(t))
-        e = -e_
-        y = c * self._y0 + d * self._pi0
-        pi = e * self._y0 + c * self._pi0
-        Syy, Syp, Spp = self._Syy, self._Syp, self._Spp
-
-        def scaled(A, left, right):
-            return left[:, None] * A * right[None, :]
-
-        Syy_t = (
-            scaled(Syy, c, c) + scaled(Syp, c, d) + scaled(Syp.T, d, c) + scaled(Spp, d, d)
-        )
-        Syp_t = (
-            scaled(Syy, c, e) + scaled(Syp, c, c) + scaled(Syp.T, d, e) + scaled(Spp, d, c)
-        )
-        Spp_t = (
-            scaled(Syy, e, e) + scaled(Syp, e, c) + scaled(Syp.T, c, e) + scaled(Spp, c, c)
-        )
-        O = self.O
-        N = self.n_modes
-        mean = np.concatenate([O @ y, O @ pi])
-        cov = np.empty((2 * N, 2 * N))
-        cov[:N, :N] = O @ Syy_t @ O.T
-        cov[:N, N:] = O @ Syp_t @ O.T
-        cov[N:, :N] = cov[:N, N:].T
-        cov[N:, N:] = O @ Spp_t @ O.T
-        return GaussianState(mean, cov)
+        """Full composite Gaussian state at time t: the normal-coordinate
+        initial state pushed through the full map ``phase_map``, at the cost
+        of two dense (2N)^3 products."""
+        nu = self.nu
+        normal = GaussianState(np.concatenate([self._y0, self._pi0]), self._normal_cov())
+        return evolve(normal, SymplecticMap(phase_map(self.O, nu, np.exp(1j * (nu * float(t))))))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chainsync import scenarios
@@ -193,3 +194,35 @@ def test_sweep_workers_below_one_exit_2(tmp_path, capsys, workers):
     assert main([*SWEEP, "--workers", workers, "--out", str(out)]) == 2
     assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# squeezing past MAX_SQUEEZE overflows the probe variances or loses the
+# vacuum floor to round-off; means that large overflow the sync sums
+@pytest.mark.parametrize(
+    "commands, items",
+    [
+        (("validate", "run", "sweep"), ("r1=400",)),
+        (("validate", "run"), ("preset=fig5_entanglement_common", "r1=8", "r2=8")),
+        (("validate", "run", "sweep"), ("x1=1e200",)),
+    ],
+)
+def test_out_of_range_initial_states_exit_2(commands, items, tmp_path, capsys):
+    for command in commands:
+        out = tmp_path / command
+        argv = SWEEP if command == "sweep" else [command, "--set", "M=20", "--set", "horizon=40"]
+        argv = [*argv, *(a for item in items for a in ("--set", item))]
+        if command != "validate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2, (command, items)
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+
+def test_fig5_at_the_squeeze_bound_runs_without_nan(tmp_path):
+    r = repr(scenarios.MAX_SQUEEZE)
+    out = tmp_path / "out"
+    argv = ["run", "--set", "preset=fig5_entanglement_common", "--set", f"r1={r}",
+            "--set", f"r2={r}", "--set", "M=20", "--set", "horizon=40", "--out", str(out)]
+    assert main(argv) == 0
+    quantum = np.loadtxt(out / "quantum.csv", delimiter=",", skiprows=1)
+    assert quantum.size and not np.isnan(quantum).any()

@@ -19,6 +19,7 @@ from chainsync import (
     symplectic_form,
     symplectic_spectrum,
 )
+from chainsync.dynamics import phase_map, spectrum
 from chainsync.lattice import chain_normal_modes
 from chainsync.scenarios import PRESETS, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
@@ -250,6 +251,18 @@ def test_propagator_symplectic_and_composition_random():
         s1, s2, s12 = propagator(qf, t1), propagator(qf, t2), propagator(qf, t1 + t2)
         assert symplectic_defect(s1) <= 1e-10
         assert np.max(np.abs(s1.S @ s2.S - s12.S)) <= 1e-10
+
+
+def test_phase_map_rows_and_times_bit_for_bit():
+    nu, O, _ = spectrum(small_system(M=9)[1])
+    N = nu.size
+    z = np.exp(1j * (np.linspace(0.0, 40.0, 7)[:, None] * nu))
+    full = phase_map(O, nu, z)
+    assert full.shape == (7, 2 * N, 2 * N)
+    for zt, St in zip(z, full):
+        assert np.array_equal(phase_map(O, nu, zt), St)
+    assert np.array_equal(phase_map(O[:2], nu, z), full[:, [0, 1, N, N + 1]])
+    assert np.array_equal(phase_map(O, nu, np.ones(N, dtype=complex)), np.kron(np.eye(2), O))
 
 
 def test_evolve_identity_and_dimension_guard():

@@ -34,14 +34,22 @@ ENTRY_POINTS = {
 
 
 def _referenced_names(paths):
+    """Names read, bare or as an attribute, in ``paths``; an assignment or
+    a definition does not read its own name."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
+
+
+def _used_outside_the_tests():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    perfbench = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+    return _referenced_names(modules) | _referenced_names(perfbench) | ENTRY_POINTS
 
 
 def test_every_export_has_a_caller_outside_the_tests():
@@ -52,11 +60,35 @@ def test_every_export_has_a_caller_outside_the_tests():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
-    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    perfbench = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
-    used = _referenced_names(modules) | _referenced_names(perfbench) | ENTRY_POINTS
     assert ENTRY_POINTS <= set(exported)
-    assert sorted(set(exported) - used) == []
+    assert sorted(set(exported) - _used_outside_the_tests()) == []
+
+
+def _public_definitions(path):
+    """Public module-level functions, classes and constants of ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+# a public helper whose last caller is gone fails here even when the
+# package does not export it
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    used = _used_outside_the_tests()
+    unused = {
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _public_definitions(path)
+        if name not in used
+    }
+    assert sorted(unused) == []
 
 
 def _defaulted_parameters(path):

@@ -149,9 +149,9 @@ _RUN_SETTINGS = {
     "site_m": _mostly(st.integers(1, 2).map(str), "0", "9", "1.5"),
     "site_n": _mostly(st.integers(1, 2).map(str), "-1", "99", "2.0"),
     "sign2": _mostly(st.sampled_from(["1", "-1"]), "0", "2"),
-    "x1": _floats(-5.0, 5.0),
-    "p2": _floats(-5.0, 5.0),
-    "r1": _floats(-3.0, 3.0),
+    "x1": _floats(-5.0, 5.0, "1e200"),
+    "p2": _floats(-5.0, 5.0, "1e200"),
+    "r1": _floats(-3.0, 3.0, "8", "400"),
     "squeeze_axis": _mostly(st.sampled_from(["position", "momentum"]), "diagonal"),
     "dt": _mostly(st.sampled_from(["0.005", "0.01", "0.02", "0.04"]), "0", "-0.02", "0.9", "1e-9"),
     "dt_cov": _mostly(st.sampled_from(["0.05", "0.1", "0.2"]), "0", "0.3", "0.45"),
