@@ -16,11 +16,16 @@ import numpy as np
 from .errors import InstabilityError, UncertaintyViolation
 from .lattice import DEFAULT_STABILITY_TOL, QuadraticForm, chain_normal_modes
 
-# time rows per block of ``phasor_blocks`` and ``phasor_sums``; the
-# block's arrays set the peak memory of a series
+# time rows per block of ``phasor_sum_blocks``: one exact start phasor and
+# one slice of the cached table exp(i nu k h) per block
 _TIME_CHUNK = 256
-# on-grid blocks per product of ``phasor_sums``
+# on-grid blocks per product of ``phasor_sum_blocks``
 _GROUP = 16
+# anchored coefficient columns per product: _GROUP blocks of the four
+# probe-mean columns.  A wider coef, such as the probe trajectories of a
+# covariance basis, takes fewer blocks per product (one from 64 columns
+# on), so its anchored copies never outgrow coef itself
+_GROUP_COLUMNS = 64
 # rows and columns per tile when a covariance is symmetrized or checked
 _TILE = 256
 
@@ -60,6 +65,16 @@ def _is_symmetrized(a: np.ndarray) -> bool:
         ):
             return False
     return True
+
+
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """``a`` overwritten with 0.5 * (a + a.T), one tile pair at a time, so
+    a GaussianState keeps it without a copy; returns ``a``."""
+    for rows, cols in _mirror_tiles(a.shape[0]):
+        t = _mean_tile(a, rows, cols)
+        a[rows, cols] = t
+        a[cols, rows] = t.T
+    return a
 
 
 @dataclass(frozen=True)
@@ -143,12 +158,7 @@ def initial_composite_state(probe_means, probe_covs, cfg) -> GaussianState:
         cov[i, N + i] = cov[N + i, i] = c[0, 1]
     cov[2:N, 2:N] = (O / omegas) @ O.T / 2.0
     cov[N + 2 :, N + 2 :] = (O * omegas) @ O.T / 2.0
-    # symmetrized in place, so GaussianState keeps it without a copy
-    for rows, cols in _mirror_tiles(2 * N):
-        t = _mean_tile(cov, rows, cols)
-        cov[rows, cols] = t
-        cov[cols, rows] = t.T
-    return GaussianState(mean, cov)
+    return GaussianState(mean, symmetrize(cov))
 
 
 def uniform_step(times) -> float:
@@ -167,10 +177,20 @@ def uniform_step(times) -> float:
     return h
 
 
-def _grid_blocks(nu, times):
-    """The cached in-block phasors W = exp(i nu k h) of the uniform grid
-    spanned by ``times``, the slices of its blocks of at most _TIME_CHUNK
-    times, and whether each block lies on that grid."""
+def phasor_sum_blocks(nu, times, coef):
+    """(slice, Re sum_j coef[j, c] exp(i nu_j t) at the slice's times) for
+    each block of at most _TIME_CHUNK of ``times``, off-grid blocks first.
+
+    A block on the uniform grid spanned by ``times`` has the phasors
+    W o p_b, the cached table W = exp(i nu k h) scaled per mode by the
+    exact phasor p_b of its first time, so the phase is re-anchored exactly
+    at every block start.  They are never formed: (W o p_b) coef =
+    W (p_b coef), so a group of blocks shares one real product
+    [Re W, Im W] [Re; -Im] with their anchored coefficients side by side,
+    which yields only the real parts.  Off-grid blocks take their phasors
+    directly.
+    """
+    times, coef = np.asarray(times, dtype=float), np.asarray(coef)
     n = times.size
     h = (times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
     steps = np.arange(min(n, _TIME_CHUNK)) * h
@@ -180,50 +200,28 @@ def _grid_blocks(nu, times):
     blocks = [slice(lo, min(lo + _TIME_CHUNK, n)) for lo in range(0, n, _TIME_CHUNK)]
     offsets = (times[b] - times[b.start] - steps[: b.stop - b.start] for b in blocks)
     on_grid = [bool(np.all(np.abs(d) <= tol)) for d in offsets]
-    return np.exp(1j * (steps[:, None] * nu)), blocks, on_grid
-
-
-def phasor_blocks(nu, times):
-    """(slice, z) per block of at most _TIME_CHUNK times t, with z =
-    exp(i nu t) of shape (block, len(nu)); the covariance series reads it.
-
-    A block on the uniform grid spanned by ``times`` is the cached
-    exp(i nu k h) times the phasor of its first time, so the phase is
-    re-anchored exactly at every block start; a block off that grid gets
-    its phasors directly.
-    """
-    W, blocks, on_grid = _grid_blocks(nu, times)
-    for block, on in zip(blocks, on_grid):
-        t = times[block]
-        z = W[: t.size] * np.exp(1j * (nu * t[0])) if on else np.exp(1j * (t[:, None] * nu))
-        yield block, z
-
-
-def phasor_sums(nu, times, coef):
-    """Re sum_j coef[j, c] exp(i nu_j t): a float array (len(times), C).
-
-    Blocks as in ``phasor_blocks``, but an on-grid block's phasors W o p_b,
-    the cached table W scaled per mode by the block's exact start phasor
-    p_b, are never formed: (W o p_b) coef = W (p_b coef), so _GROUP blocks
-    share one real product [Re W, Im W] [Re; -Im] with their anchored
-    coefficients side by side, which yields only the real parts.  Off-grid
-    blocks take their phasors directly.
-    """
-    times, coef = np.asarray(times, dtype=float), np.asarray(coef)
-    W, blocks, on_grid = _grid_blocks(nu, times)
+    W = np.exp(1j * (steps[:, None] * nu))
     W = np.concatenate([W.real, W.imag], axis=1)
-    out = np.empty((times.size, coef.shape[1]))
     for block in (b for b, on in zip(blocks, on_grid) if not on):
-        out[block] = (np.exp(1j * (times[block, None] * nu)) @ coef).real
+        yield block, (np.exp(1j * (times[block, None] * nu)) @ coef).real
     grid = [b for b, on in zip(blocks, on_grid) if on]
-    for lo in range(0, len(grid), _GROUP):
-        group = grid[lo : lo + _GROUP]
+    size = max(1, min(_GROUP, _GROUP_COLUMNS // max(1, coef.shape[1])))
+    for lo in range(0, len(grid), size):
+        group = grid[lo : lo + size]
         starts = times[[b.start for b in group]]
         pc = np.exp(1j * (nu[:, None] * starts))[:, :, None] * coef[:, None]
         prod = W @ np.concatenate([pc.real, -pc.imag]).reshape(W.shape[1], -1)
         prod = prod.reshape(W.shape[0], len(group), -1)
         for i, block in enumerate(group):
-            out[block] = prod[: block.stop - block.start, i]
+            yield block, prod[: block.stop - block.start, i]
+
+
+def phasor_sums(nu, times, coef):
+    """Re sum_j coef[j, c] exp(i nu_j t): a float array (len(times), C),
+    assembled from ``phasor_sum_blocks``."""
+    out = np.empty((len(times), np.shape(coef)[1]))
+    for block, sums in phasor_sum_blocks(nu, times, coef):
+        out[block] = sums
     return out
 
 

@@ -398,6 +398,7 @@ class SimulationData:
     rayleigh: RayleighReport
     min_eigenvalue: float
     modes: SystemModes
+    covariance_basis: int | str
 
 
 @dataclass
@@ -461,6 +462,7 @@ def simulate(spec: ScenarioSpec) -> SimulationData:
         quantum=quantum, rayleigh=rayleigh,
         min_eigenvalue=engine.min_eigenvalue,
         modes=modes,
+        covariance_basis=engine.covariance_basis,
     )
 
 
@@ -484,6 +486,7 @@ def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:
         "cross_talk_time": revival_time(spec.network) / 2.0,
         "max_group_velocity": max_group_velocity(spec.network),
         "min_eigenvalue": data.min_eigenvalue,
+        "covariance_basis": data.covariance_basis,
         "plateau_band_lo": lo,
         "plateau_band_hi": hi,
         "c_means_plateau": _nanmedian(data.sync_means.in_band(lo, hi)),

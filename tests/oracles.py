@@ -160,6 +160,33 @@ def direct_phasor_sums(nu, times, coef):
     return np.cos(phase) @ coef.real - np.sin(phase) @ coef.imag
 
 
+def dense_covariance_series(qf, state, times):
+    """Probe covariances (len(times), 4, 4) in (x1, x2, p1, p2) ordering
+    from the dense product B Sigma0 B^T: Sigma0 the initial covariance in
+    the normal coordinates of its own ``eigh`` of V, and B the probe rows of
+    the map from those coordinates at time 0 to site coordinates at t, from
+    one cos and one sin per time and mode."""
+    ev, O = np.linalg.eigh(qf.V)
+    nu = np.sqrt(ev)
+    N = nu.size
+    Q = np.zeros((2 * N, 2 * N))
+    Q[:N, :N] = Q[N:, N:] = O
+    sigma0 = Q.T @ state.cov @ Q
+    rows = O[:2]
+    times = np.asarray(times, dtype=float)
+    out = np.empty((times.size, 4, 4))
+    for lo in range(0, times.size, 256):
+        t = times[lo : lo + 256, None, None]
+        c, s = np.cos(nu * t), np.sin(nu * t)
+        B = np.concatenate(
+            [np.concatenate([rows * c, rows * (s / nu)], 2),
+             np.concatenate([rows * (-nu * s), rows * c], 2)], 1
+        )
+        blk = B @ sigma0 @ np.swapaxes(B, 1, 2)
+        out[lo : lo + 256] = 0.5 * (blk + np.swapaxes(blk, 1, 2))
+    return out
+
+
 def cosine_kernels(c1, c2, chain_freqs, times):
     """(gamma1, gamma2, eta) of ``damping_kernels`` from one ``np.cos`` per
     (time, chain mode) pair."""

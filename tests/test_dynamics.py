@@ -24,7 +24,9 @@ from chainsync.lattice import chain_normal_modes
 from chainsync.scenarios import PRESETS, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
 
-from oracles import direct_phasor_sums, rk4_reference, symplectic_defect, uncertainty_defect
+from oracles import (
+    dense_covariance_series, direct_phasor_sums, rk4_reference, symplectic_defect, uncertainty_defect
+)
 
 
 def small_system(M=10, K=0.2, lam=0.5, omega2=1.1, r=(0.0, 0.0), x0=(0.14, 1.4)):
@@ -158,6 +160,23 @@ def test_gaussian_state_keeps_an_exactly_symmetric_covariance():
     assert GaussianState(np.zeros(600), c).cov is not c
 
 
+def preset_system(preset, M):
+    """(spec, probe covariances, initial state) of a preset on M sites, its
+    second probe at the preset's site clipped to the chain."""
+    site_n = min(PRESETS[preset].get("site_n", 1), M)
+    spec = resolve_spec(preset, {"M": M, "site_n": site_n})
+    ini, probes = spec.initial, spec.probes
+    sign = 1.0 if ini.squeeze_axis == "position" else -1.0
+    probe_covs = (
+        squeezed_vacuum_local(probes.omega1, sign * ini.r1),
+        squeezed_vacuum_local(probes.omega2, sign * ini.r2),
+    )
+    state = initial_composite_state(
+        ((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, spec.network
+    )
+    return spec, probe_covs, state
+
+
 def _assembled_covariance(probe_covs, cfg):
     """The initial covariance as assembled, before symmetrization."""
     N = cfg.M + 2
@@ -176,17 +195,7 @@ def _assembled_covariance(probe_covs, cfg):
     "preset, M", [(name, 60) for name in sorted(PRESETS)] + [("fig5_entanglement_common", 200)]
 )
 def test_initial_state_is_the_symmetrized_assembly_bitwise(preset, M):
-    site_n = min(PRESETS[preset].get("site_n", 1), M)
-    spec = resolve_spec(preset, {"M": M, "site_n": site_n})
-    ini, probes = spec.initial, spec.probes
-    sign = 1.0 if ini.squeeze_axis == "position" else -1.0
-    probe_covs = (
-        squeezed_vacuum_local(probes.omega1, sign * ini.r1),
-        squeezed_vacuum_local(probes.omega2, sign * ini.r2),
-    )
-    state = initial_composite_state(
-        ((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, spec.network
-    )
+    spec, probe_covs, state = preset_system(preset, M)
     raw = _assembled_covariance(probe_covs, spec.network)
     assert not np.array_equal(raw, raw.T)
     assert np.array_equal(_bits(state.cov), _bits(0.5 * (raw + raw.T)))
@@ -392,6 +401,56 @@ def test_engine_grid_not_a_multiple_of_the_block():
     assert_engine_matches_s_matrix(qf, state, times)
 
 
+@pytest.mark.parametrize(
+    "preset, M", [(name, 60) for name in sorted(PRESETS)] + [("fig2_dissipation", 300)]
+)
+def test_covariance_series_matches_the_dense_product(preset, M):
+    spec, _, state = preset_system(preset, M)
+    qf = assemble_full_potential(spec.network, spec.probes)
+    n = int(round(spec.run.horizon / spec.run.dt_cov))
+    times = np.arange(n + 1) * spec.run.dt_cov
+    got = NormalModeTrajectory(qf, state).covariance_series(times)
+    ref = dense_covariance_series(qf, state, times)
+    peak = max(np.max(np.abs(ref[:, i, i])) for i in range(4))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("preset", ["fig2_dissipation", "fig4_edges"])
+def test_product_states_take_the_resolvent_basis(preset):
+    # falling back to the whole space would stay exact but cost the dense
+    # O(N^2) per sample, which only this test sees
+    spec, _, state = preset_system(preset, 300)
+    engine = NormalModeTrajectory(assemble_full_potential(spec.network, spec.probes), state)
+    basis = engine.covariance_basis
+    assert isinstance(basis, int) and basis <= 100
+
+
+def test_a_mixed_state_takes_the_whole_space_and_stays_exact():
+    # local squeezed thermal states pushed through a second form's
+    # propagator, as in the random-form property test, on a chain of 60
+    cfg, qf, _ = small_system(M=60)
+    N = qf.dim
+    rng = np.random.default_rng(7)
+    cov = np.zeros((2 * N, 2 * N))
+    for i in range(N):
+        local = (2 * rng.uniform(0.0, 2.0) + 1) * squeezed_vacuum_local(
+            rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0)
+        )
+        cov[np.ix_([i, N + i], [i, N + i])] = local
+    Q, _ = np.linalg.qr(rng.normal(size=(N, N)))
+    mixer = QuadraticForm((Q * rng.uniform(0.05, 4.0, size=N)) @ Q.T)
+    state = evolve(GaussianState(rng.uniform(-3.0, 3.0, size=2 * N), cov), propagator(mixer, 9.0))
+    engine = NormalModeTrajectory(qf, state)
+    assert engine.covariance_basis == "full"
+    times = np.array([0.0, 3.7, 41.0])
+    covs = engine.covariance_series(times)
+    _, _, covs_ref = s_matrix_probe_moments(qf, state, times)
+    assert np.max(np.abs(covs - covs_ref)) <= 1e-10 * np.max(np.abs(covs_ref))
+    full, ref = engine.state_at(41.0), evolve(state, propagator(qf, 41.0))
+    assert np.max(np.abs(full.cov - ref.cov)) <= 1e-10 * np.max(np.abs(ref.cov))
+    assert np.max(np.abs(full.mean - ref.mean)) <= 1e-10 * np.max(np.abs(ref.mean))
+
+
 def _phasor_sum_grid(name):
     """Times of a named grid: the sample counts 0, 1 and 2; a uniform grid
     over more than one product group ending in a partial block; that grid
@@ -413,7 +472,7 @@ def _phasor_sum_grid(name):
     }[name]
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["real", "complex", "wide"])
 @pytest.mark.parametrize(
     "grid", ["empty", "one", "two", "long", "one_off_grid", "non_uniform", "shifted"]
 )
@@ -423,12 +482,13 @@ def test_phasor_sums_match_direct_exp_sums(grid, kind):
     times = _phasor_sum_grid(grid)
     rng = np.random.default_rng(3)
     nu = rng.uniform(0.3, 3.0, size=30)
-    coef = rng.normal(size=(30, 3))
-    if kind == "complex":
-        coef = coef + 1j * rng.normal(size=(30, 3))
+    # a wide coef takes one block per product
+    coef = rng.normal(size=(30, 70 if kind == "wide" else 3))
+    if kind != "real":
+        coef = coef + 1j * rng.normal(size=coef.shape)
     got = phasor_sums(nu, times, coef)
     ref = direct_phasor_sums(nu, times, coef)
-    assert got.shape == ref.shape == (times.size, 3) and got.dtype == float
+    assert got.shape == ref.shape == (times.size, coef.shape[1]) and got.dtype == float
     if times.size:
         peak = np.max(np.abs(ref), axis=0)
         assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-13 * peak)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,8 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert "revival_time = 4.80000000000e+01" in record_text
     config_hash = hashlib.sha256(format_config(spec).encode()).hexdigest()
     assert f"config_hash = {config_hash}" in record_text
+    # the dimension of the covariance basis, deterministic
+    assert re.search(r"^covariance_basis = \d+$", record_text, re.M)
     # the echoed config parses back to the same spec
     assert resolve_spec(*read_config((tmp_path / "config.txt").read_text())) == spec
 
