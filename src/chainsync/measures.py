@@ -61,9 +61,9 @@ class SyncSeries:
 def window_samples(window, stride, delay, dt):
     """(window, stride, delay) of a sync series in samples of step ``dt``.
 
-    The window must hold at least MIN_WINDOW_SAMPLES samples, the stride
-    must be a whole multiple of ``dt`` and the delay a multiple of it;
-    otherwise ValueError.
+    The window must hold at least MIN_WINDOW_SAMPLES samples, the window
+    and the stride must be whole multiples of ``dt`` and the delay a
+    multiple of it, each to 1e-9 relative; otherwise ValueError.
     """
     ratios = (window / dt, stride / dt, delay / dt)
     if not all(map(math.isfinite, ratios)):
@@ -73,6 +73,8 @@ def window_samples(window, stride, delay, dt):
     if w + 1 < MIN_WINDOW_SAMPLES:
         raise ValueError(f"window {window} holds fewer than {MIN_WINDOW_SAMPLES} samples "
                          f"of step {dt}")
+    if abs(window - w * dt) > 1e-9 * window:
+        raise ValueError(f"window {window} is not a whole multiple of the sample step {dt}")
     if step < 1 or abs(stride - step * dt) > 1e-9 * stride:
         raise ValueError(f"stride {stride} is not a whole multiple of the sample step {dt}")
     if abs(delay - d * dt) > 1e-9 * max(dt, abs(delay)):
@@ -126,12 +128,14 @@ def symplectic_spectrum(cov) -> np.ndarray:
 def _nu_entropy(nus) -> np.ndarray:
     """Entropy (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2) of each
     symplectic eigenvalue; one below the vacuum floor 1/2 (1e-6 slack)
-    raises NonPhysical."""
+    raises NonPhysical, and one within the slack is read as 1/2, whose
+    entropy is exactly 0."""
     nus = np.asarray(nus, dtype=float)
     if np.any(nus < 0.5 - 1e-6):
         raise NonPhysical(f"symplectic eigenvalue {nus.min():.9f} below the vacuum floor 1/2")
+    nus = np.maximum(nus, 0.5)
     plus = nus + 0.5
-    minus = np.clip(nus - 0.5, 0.0, None)
+    minus = nus - 0.5
     safe = np.where(minus > 0, minus, 1.0)  # (nu - 1/2) ln(nu - 1/2) -> 0 at nu = 1/2
     return plus * np.log(plus) - minus * np.log(safe)
 
@@ -142,13 +146,14 @@ def vn_entropy(cov) -> float:
 
 
 def mutual_information(cov) -> float:
-    """Mutual information S_1 + S_2 - S_12 of a two-mode covariance."""
+    """Mutual information S_1 + S_2 - S_12 of a two-mode covariance, read
+    as 0 where round-off makes it negative (subadditivity)."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (4, 4):
         raise ValueError("mutual information expects a two-mode (4x4) covariance")
     S1 = vn_entropy(cov[np.ix_([0, 2], [0, 2])])
     S2 = vn_entropy(cov[np.ix_([1, 3], [1, 3])])
-    return S1 + S2 - vn_entropy(cov)
+    return max(0.0, S1 + S2 - vn_entropy(cov))
 
 
 def log_negativity(cov) -> float:
@@ -222,4 +227,5 @@ def correlation_report(times, covs) -> CorrelationReport:
     flip = np.array([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
     _, nu_pt = _two_mode_spectrum(covs * np.outer(flip, flip), det_a + det_b - 2 * det_c, det)
     E = np.maximum(0.0, -np.log(2.0 * nu_pt))
-    return CorrelationReport(times, E, S1 + S2 - S12, S1, S2, S12)
+    # subadditivity: S12 <= S1 + S2, so a negative MI is round-off
+    return CorrelationReport(times, E, np.maximum(0.0, S1 + S2 - S12), S1, S2, S12)

@@ -415,8 +415,9 @@ def _prepare(spec: ScenarioSpec):
 
     The chain is diagonalized once, for the initial state and the modes.
     Its M x M modes are freed before the engine diagonalizes the full
-    form, and the initial state's dense 2N x 2N covariance once the engine
-    has rotated it into normal coordinates.
+    form.  The initial state's dense 2N x 2N covariance lives as long as
+    the engine, which keeps it by reference and reads it on the first
+    covariance read; a sweep site, which reads means only, never reads it.
     """
     cfg, probes, ini = spec.network, spec.probes, spec.initial
     qf = assemble_full_potential(cfg, probes)
@@ -481,6 +482,9 @@ def _nanmedian(values) -> float:
 def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:
     """Deterministic headline metrics for the run record."""
     lo, hi = _plateau_band(spec)
+    # variance window k pairs with mean window k (``run_scenario``)
+    c_means, c_vars = data.sync_means.values, data.sync_vars.values
+    n = min(c_means.size, c_vars.size)
     summary = {
         "revival_time": revival_time(spec.network),
         "cross_talk_time": revival_time(spec.network) / 2.0,
@@ -491,6 +495,8 @@ def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:
         "plateau_band_hi": hi,
         "c_means_plateau": _nanmedian(data.sync_means.in_band(lo, hi)),
         "c_vars_plateau": _nanmedian(data.sync_vars.in_band(lo, hi)),
+        "degenerate_windows": int(np.isnan(c_means).sum() + np.isnan(c_vars[:n]).sum()),
+        "unmatched_var_windows": c_means.size - n,
     }
     modes = data.modes
     summary["theta"] = modes.theta

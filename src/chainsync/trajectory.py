@@ -5,7 +5,7 @@ O(N^3) per output sample, which is wasteful when only the two probe modes
 are observed.  This engine diagonalizes the potential once with
 ``dynamics.spectrum``, which also checks stability and leaves the smallest
 eigenvalue on the engine as ``min_eigenvalue``.  It rotates the initial
-moments into normal coordinates and then evaluates probe means and
+mean into normal coordinates and then evaluates probe means and
 probe-block covariances at arbitrary times directly.
 
 Per-sample cost.  Times are taken in blocks: on a uniform grid a block's
@@ -15,19 +15,24 @@ per sample and the phase error does not accumulate across blocks.  Probe
 trajectories are ``dynamics.phasor_sum_blocks`` (``phasor_sums`` in array
 form), as are the memory kernels of ``modes.damping_kernels``: the
 rotation moves onto the (N x C) coefficients, so a group of blocks is
-one real matrix product, O(N C) per sample, and z is never formed.  Means are the trajectory of the
-initial mean.  Covariances split the initial covariance Sigma0 into the
-coupled ground state Sigma_g, which is stationary, and the part
-Delta = Sigma0 - Sigma_g that moves.  For a product of local probe
-states and the chain vacuum, Delta is numerically low-rank, and a
-deterministic resolvent basis Q with Delta = Q H Q^T to round-off is
-built once per engine; the covariances are then the constant probe block
-of Sigma_g plus V H V^T, with V the probe trajectories of Q's 2r
-columns, O(N r) per sample.  Any other state takes the whole space as
-its basis (Q = I, H = Delta) through the same formula.  ``state_at``
-uses the same split with the full map ``dynamics.phase_map``.  Results
-equal repeated application of propagator maps to round-off; tests cover
-the equivalence, including off-grid times and mixed states.
+one real matrix product, O(N C) per sample, and z is never formed.
+Means are the trajectory of the initial mean.  Covariances split the
+initial covariance Sigma0 into the coupled ground state Sigma_g, which
+is stationary, and the part Delta = Sigma0 - Sigma_g that moves.  For a
+product of local probe states and the chain vacuum, Delta is numerically
+low-rank, and a deterministic resolvent basis Q with Delta = Q H Q^T to
+round-off is built once per engine, on the first covariance read.  H
+and the check of the residual are formed in site coordinates, where
+Sigma0 and Sigma_g live, through OU = O U: O(N^2 r) plus the two
+symmetric rank-N updates of Sigma_g = G G^T.  Sigma0 is never rotated
+into normal coordinates, and a reader of means alone never touches it.
+The covariances are then the constant probe block of Sigma_g plus
+V H V^T, with V the probe trajectories of Q's 2r columns, O(N r) per
+sample.  Any other state takes the whole space as its basis (Q = I,
+H = Delta) through the same formula.  ``state_at`` uses the same split
+with the full map ``dynamics.phase_map``.  Results equal repeated
+application of propagator maps to round-off; tests cover the
+equivalence, including off-grid times and mixed states.
 Like ``dynamics.propagator``, the engine accepts stable forms only, so
 every normal frequency is positive.
 """
@@ -71,24 +76,24 @@ _ROWS = 256
 
 class NormalModeTrajectory:
     """Closed-system trajectory of a Gaussian state under a stable
-    quadratic form."""
+    quadratic form.
+
+    The initial mean is read when the engine is built; ``state.cov`` is
+    kept by reference and first read on the first covariance read
+    (``covariance_series``, ``covariance_basis`` or ``state_at``), so it
+    must not change in place before then."""
 
     def __init__(self, qf: QuadraticForm, state: GaussianState):
         if state.n_modes != qf.dim:
             raise ValueError("state and potential dimensions differ")
         self.nu, self.O, self.min_eigenvalue = spectrum(qf)
-        O = self.O
         N = qf.dim
         # the probes and the sites the form couples them to
         self._sites = np.flatnonzero(np.any(qf.V[:2] != 0.0, axis=0))
-        self._y0 = O.T @ state.mean[:N]
-        self._pi0 = O.T @ state.mean[N:]
-        sxx = state.cov[:N, :N]
-        sxp = state.cov[:N, N:]
-        spp = state.cov[N:, N:]
-        self._Syy = O.T @ sxx @ O
-        self._Syp = O.T @ sxp @ O
-        self._Spp = O.T @ spp @ O
+        self._y0 = self.O.T @ state.mean[:N]
+        self._pi0 = self.O.T @ state.mean[N:]
+        # read on the first covariance read only, by ``_moving_part``
+        self._cov = state.cov
 
     @property
     def n_modes(self) -> int:
@@ -121,42 +126,54 @@ class NormalModeTrajectory:
         U, sv, _ = np.linalg.svd(A, full_matrices=False)
         return U[:, sv > _BASIS_CUT * sv[0]]
 
+    def _ground_block(self, g) -> np.ndarray:
+        """O diag(g) O^T, the x (g = 1/2nu) or p (g = nu/2) block of the
+        coupled ground state Sigma_g in site coordinates, as G G^T with
+        G = O diag(sqrt(g)): numpy takes an array times its own transpose
+        as one symmetric rank-N update, half the work of (O g) O^T."""
+        G = self.O * np.sqrt(g)
+        return G @ G.T
+
     @cached_property
     def _moving_part(self):
         """(U, H, basis) with Delta = Q H Q^T for Q = diag(U, U): U the
         resolvent basis where it reproduces Delta to round-off, and
         ``basis`` its dimension 2r; otherwise U is the identity, H = Delta
-        and ``basis`` is ``"full"``."""
-        nu = self.nu
+        and ``basis`` is ``"full"``.  Sigma0 is never rotated: H and the
+        residual are formed in site coordinates through OU = O U."""
+        nu, O, cov = self.nu, self.O, self._cov
         N = nu.size
-        blocks = [(self._Syy, 0.5 / nu), (self._Syp, None), (self._Spp, 0.5 * nu)]
+        blocks = [(cov[:N, :N], 0.5 / nu), (cov[:N, N:], None), (cov[N:, N:], 0.5 * nu)]
 
         def project(U):
-            return [U.T @ S @ U - (0.0 if g is None else (U.T * g) @ U) for S, g in blocks]
+            OU = O @ U
+            return OU, [OU.T @ S @ OU - (0.0 if g is None else (U.T * g) @ U) for S, g in blocks]
 
         U = self._resolvent_basis()
-        H = project(U)
-        # ||Delta - Q H Q^T||_F and ||Sigma0||_F, one tile of rows at a time
-        # (the x-p block counts twice)
+        OU, H = project(U)
+        # ||Delta - Q H Q^T||_F and ||Sigma0||_F, both invariant under O, one
+        # tile of rows at a time in site coordinates (the x-p block counts twice)
         resid = norm = 0.0
         for (S, g), h, w in zip(blocks, H, (1, 2, 1)):
+            Sg = None if g is None else self._ground_block(g)
             for lo in range(0, N, _ROWS):
                 rows = slice(lo, lo + _ROWS)
-                R = S[rows] - (U[rows] @ h) @ U.T
-                if g is not None:
-                    k = np.arange(R.shape[0])
-                    R[k, lo + k] -= g[rows]
+                R = S[rows] - (OU[rows] @ h) @ OU.T
+                if Sg is not None:
+                    R -= Sg[rows]
                 resid += w * np.einsum("ij,ij->", R, R)
                 norm += w * np.einsum("ij,ij->", S[rows], S[rows])
-        # The dense rotation O^T S O makes two products of N-term sums: each
-        # is off by at most gamma_N ||S||_F ||O||_F ~ N^{3/2} eps ||S||_F (with
-        # ||O||_F = sqrt(N)), so Sigma0 itself is only known to
-        # 2 N^{3/2} eps ||Sigma0||_F; a smaller residual is below that noise.
-        # On the presets the residual is 0.2-0.5 N eps ||Sigma0||_F.
+        # Sigma0's chain blocks (``initial_composite_state``) and Sigma_g =
+        # G G^T are each one product of N-term sums, off by at most
+        # gamma_N tr(Sigma) <= N^{3/2} eps ||Sigma||_F in Frobenius norm (the
+        # trace of a positive matrix is at most sqrt(N) times its Frobenius
+        # norm).  Sigma0's chain vacuum is near Sigma_g, so Delta is only
+        # known to 2 N^{3/2} eps ||Sigma0||_F; a smaller residual is below
+        # that noise.  On the presets it is 0.2-0.5 N eps ||Sigma0||_F.
         basis = 2 * U.shape[1]
         if np.sqrt(resid) > 2.0 * N**1.5 * np.finfo(float).eps * np.sqrt(norm):
             U, basis = np.eye(N), "full"
-            H = project(U)
+            _, H = project(U)
         return U, np.block([[H[0], H[1]], [H[1].T, H[2]]]), basis
 
     @property
@@ -205,11 +222,8 @@ class NormalModeTrajectory:
             mean[idx] = D @ m0
             P[idx] = np.hstack([D[:, :N] @ U, D[:, N:] @ U])
         cov = np.zeros((2 * N, 2 * N))
-        # G G^T with G = O diag(sqrt(g)): numpy takes an array times its own
-        # transpose as one symmetric rank-N update, half the work of (O g) O^T
         for part, g in ((slice(0, N), 0.5 / nu), (slice(N, 2 * N), 0.5 * nu)):
-            G = O * np.sqrt(g)
-            cov[part, part] = G @ G.T
+            cov[part, part] = self._ground_block(g)
         PH = P @ H
         for lo in range(0, 2 * N, _ROWS):
             cov[lo : lo + _ROWS] += PH[lo : lo + _ROWS] @ P.T

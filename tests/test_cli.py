@@ -52,6 +52,8 @@ def test_config_error_exit_code(capsys):
     assert main([*small, "--set", "window=1.0"]) == 2
     assert main([*small, "--set", "dt_cov=0.3"]) == 2
     assert main([*small, "--set", "delay=0.03"]) == 2
+    # a window off the sample grid was rounded to 1,002 mean and 100 variance steps
+    assert main([*small, "--set", "window=20.03"]) == 2
     assert main(["run", "--set", "M=20", "--set", "horizon=15"]) == 2
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,22 @@ def test_product_states_take_the_resolvent_basis(preset):
     engine = NormalModeTrajectory(assemble_full_potential(spec.network, spec.probes), state)
     basis = engine.covariance_basis
     assert isinstance(basis, int) and basis <= 100
+
+
+def test_a_means_only_engine_holds_no_covariance_block():
+    # the spectrum holds O (N^2 doubles) and its eigh a copy of V; a
+    # normal-coordinate covariance block would add N^2 more each
+    spec, _, state = preset_system("fig2_dissipation", 400)
+    qf = assemble_full_potential(spec.network, spec.probes)
+    N = qf.dim
+    tracemalloc.start()
+    try:
+        X, _ = NormalModeTrajectory(qf, state).mean_series(np.arange(101) * spec.run.dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(X))
+    assert peak <= 3 * N * N * 8, peak / (8 * N * N)
 
 
 def test_a_mixed_state_takes_the_whole_space_and_stays_exact():

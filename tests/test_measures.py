@@ -23,6 +23,7 @@ from chainsync import (
     vn_entropy,
 )
 from chainsync.measures import window_samples
+from chainsync.scenarios import resolve_spec, simulate
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import correlation_loop, dominant_frequency, scan_delayed_sync
@@ -157,6 +158,11 @@ def test_window_samples_rules():
     assert window_samples(20.0, 2.0, -0.4, 0.2) == (100, 10, -2)
     # the delay tolerance scales with the step, so round-off around zero passes
     assert window_samples(20.0, 2.0, 1.8e-15, 0.1) == (200, 20, 0)
+    # 0.7 / 0.1 and 0.3 / 0.1 are whole multiples up to round-off
+    assert window_samples(0.7, 0.3, 0.0, 0.1) == (7, 3, 0)
+    # a window between two grid multiples used to be rounded silently
+    with pytest.raises(ValueError, match="window 20.03 is not a whole multiple"):
+        window_samples(20.03, 2.0, 0.0, 0.02)
     for args in ((1.0, 2.0, 0.0, 0.2), (20.0, 2.1, 0.0, 0.2), (20.0, 2.0, 0.03, 0.02),
                  (20.0, 1e-3, 0.0, 0.02), (20.0, 1.7e308, 0.0, 0.02), (math.nan, 2.0, 0.0, 0.2)):
         with pytest.raises(ValueError):
@@ -196,6 +202,8 @@ def test_symplectic_spectrum_basics():
 def test_vn_entropy_values():
     assert vn_entropy(0.5 * np.eye(4)) == pytest.approx(0.0, abs=1e-12)
     assert vn_entropy(np.diag([1.0, 1.0])) == pytest.approx(0.9547712524422, rel=1e-10)
+    # an eigenvalue inside the vacuum-floor slack is read as 1/2
+    assert vn_entropy(np.diag([0.5 - 1e-9, 0.5 - 1e-9])) == 0.0
     # additivity on product covariances
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -304,6 +312,26 @@ def test_correlation_report_fig5_series_matches_loop():
     covs = engine.covariance_series(np.arange(301) * 0.2)
     assert_matches_loop(covs)
     assert np.max(correlation_report(np.arange(301), covs).E) > 0.1
+
+
+def test_fig6_entropies_and_mutual_information_are_never_negative():
+    # separable probes at the far edge: without the clamps 80 MI rows read
+    # down to -5.6e-14 and S1 down to -2.0e-14
+    rep = simulate(resolve_spec("fig6_mi_edges", {"M": 60, "site_n": 60})).quantum
+    for name in ("MI", "S1", "S2", "S12"):
+        assert np.min(getattr(rep, name)) >= 0.0, name
+    # product states of rotated squeezed thermal modes, whose MI is 0:
+    # unclamped, S1 + S2 - S12 reads -8.9e-16 on the second of them
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        cov = np.zeros((4, 4))
+        for i in (0, 1):
+            r, th, n = rng.uniform(-1.5, 1.5), rng.uniform(0.0, np.pi), rng.uniform(0.5, 2.0)
+            S = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]) @ np.diag(
+                [np.exp(-r), np.exp(r)]
+            )
+            cov[np.ix_([i, i + 2], [i, i + 2])] = n * S @ S.T
+        assert mutual_information(cov) >= 0.0
 
 
 def test_correlation_report_rejects_subvacuum():

@@ -327,7 +327,30 @@ def test_squeezed_scenario_sync_on_variances():
     assert np.all(np.isfinite(data.sync_vars.values))
     assert data.quantum is not None
     assert np.all(data.quantum.E >= 0.0)
-    assert np.all(data.quantum.MI >= -1e-9)
+    assert np.all(data.quantum.MI >= 0.0)
+
+
+def test_record_counts_degenerate_and_unmatched_windows(tmp_path):
+    # zero-mean squeezed vacuum: every c_means window is degenerate, every
+    # variance window is not, and the two grids pair up window for window
+    spec = resolve_spec("fig5_entanglement_common", {"M": 24, "horizon": 60.0})
+    record = run_scenario(spec, out_dir=tmp_path / "a")
+    rows = np.loadtxt(tmp_path / "a" / "sync.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == 21 and np.all(np.isnan(rows[:, 1])) and np.all(np.isfinite(rows[:, 2]))
+    assert record.summary["degenerate_windows"] == 21
+    assert record.summary["unmatched_var_windows"] == 0
+    text = (tmp_path / "a" / "record.txt").read_text()
+    assert "\ndegenerate_windows = 21\nunmatched_var_windows = 0\n" in text
+    # a coarse mean grid ends at 62.0 and the variance grid at 61.5, so the
+    # last mean window has no variance window: its c_vars is NaN, not degenerate
+    spec = resolve_spec(
+        "fig5_entanglement_common", {"M": 24, "horizon": 61.6, "dt": 1.0, "dt_cov": 0.5}
+    )
+    record = run_scenario(spec, out_dir=tmp_path / "b")
+    rows = np.loadtxt(tmp_path / "b" / "sync.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == 22 and np.isnan(rows[-1, 2])
+    assert record.summary["degenerate_windows"] == 22
+    assert record.summary["unmatched_var_windows"] == 1
 
 
 def test_momentum_squeeze_axis_flag():
