@@ -123,16 +123,10 @@ def squeezed_vacuum_local(omega: float, r: float) -> np.ndarray:
     return np.diag([np.exp(-2.0 * r) / (2.0 * omega), omega * np.exp(2.0 * r) / 2.0])
 
 
-def initial_composite_state(probe_means, probe_covs, cfg) -> GaussianState:
-    """Product state: two local probe states and the chain vacuum.
-
-    ``probe_means`` is ((x1, p1), (x2, p2)); ``probe_covs`` two symmetric
-    2x2 covariances in local (x, p) ordering, each positive definite with
-    symplectic eigenvalue sqrt(det) >= 1/2.  The chain starts with zero
-    mean in its T = 0 state, sigma_xx = O diag(1/(2 Omega_j)) O^T and
-    sigma_pp = O diag(Omega_j/2) O^T with O the chain's modes, uncorrelated
-    in x-p.  ``cfg`` is the NetworkConfig or its ``chain_normal_modes``.
-    """
+def _probe_covariances(probe_covs):
+    """The two probe covariances as float arrays, checked: each must be a
+    symmetric 2x2 (else ValueError), positive definite with symplectic
+    eigenvalue sqrt(det) >= 1/2 (else UncertaintyViolation)."""
     covs = [np.asarray(c, dtype=float) for c in probe_covs]
     for i, c in enumerate(covs):
         if c.shape != (2, 2) or c[0, 1] != c[1, 0]:
@@ -145,20 +139,74 @@ def initial_composite_state(probe_means, probe_covs, cfg) -> GaussianState:
             raise UncertaintyViolation(
                 f"probe {i + 1} covariance has symplectic eigenvalue {nu:.12f} < 1/2"
             )
-    omegas, O = chain_normal_modes(cfg)
+    return covs
+
+
+@dataclass(frozen=True)
+class ProductState:
+    """Two local probe states and the chain vacuum in the local basis B =
+    diag(I_2, O_chain), site coordinates s = B l, without the dense
+    covariance of ``initial_composite_state``.
+
+    ``mean`` is in site coordinates (B leaves the probes alone and the
+    chain is at rest).  ``chain_modes`` is O_chain, held by reference.  The
+    covariance C = B^T Sigma0 B has diagonal blocks: ``var_x`` is the
+    probes' x variances then 1/(2 Omega_j), ``var_p`` the probes' p
+    variances then Omega_j / 2, and ``cov_xp`` the probes' x-p
+    covariances then zeros.
+    """
+
+    mean: np.ndarray
+    chain_modes: np.ndarray
+    var_x: np.ndarray
+    var_p: np.ndarray
+    cov_xp: np.ndarray
+
+    @property
+    def n_modes(self) -> int:
+        return self.mean.size // 2
+
+
+def product_state(probe_means, probe_covs, chain) -> ProductState:
+    """Product state: two local probe states and the chain vacuum, for the
+    chain's ``chain_normal_modes`` pair ``chain``, in O(M) beyond the modes.
+
+    ``probe_means`` is ((x1, p1), (x2, p2)); ``probe_covs`` two symmetric
+    2x2 covariances in local (x, p) ordering, each positive definite with
+    symplectic eigenvalue sqrt(det) >= 1/2.  The chain starts with zero
+    mean in its T = 0 state, uncorrelated in x-p.
+    """
+    covs = _probe_covariances(probe_covs)
+    omegas, O = chain
     N = omegas.size + 2
     mean = np.zeros(2 * N)
     (x1, p1), (x2, p2) = probe_means
     mean[0], mean[1] = x1, x2
     mean[N], mean[N + 1] = p1, p2
-    cov = np.zeros((2 * N, 2 * N))
+    var_x, var_p, cov_xp = np.zeros(N), np.zeros(N), np.zeros(N)
     for i, c in enumerate(covs):
-        cov[i, i] = c[0, 0]
-        cov[N + i, N + i] = c[1, 1]
-        cov[i, N + i] = cov[N + i, i] = c[0, 1]
+        var_x[i], var_p[i], cov_xp[i] = c[0, 0], c[1, 1], c[0, 1]
+    var_x[2:] = 0.5 / omegas
+    var_p[2:] = 0.5 * omegas
+    return ProductState(mean, O, var_x, var_p, cov_xp)
+
+
+def initial_composite_state(probe_means, probe_covs, cfg) -> GaussianState:
+    """``product_state`` with its dense covariance in site coordinates:
+    sigma_xx = O diag(1/(2 Omega_j)) O^T and sigma_pp = O diag(Omega_j/2)
+    O^T on the chain, with O the chain's modes.  ``cfg`` is the
+    NetworkConfig or its ``chain_normal_modes``."""
+    omegas, O = chain = chain_normal_modes(cfg)
+    state = product_state(probe_means, probe_covs, chain)
+    N = state.n_modes
+    cov = np.zeros((2 * N, 2 * N))
+    for i in range(2):
+        cov[i, i] = state.var_x[i]
+        cov[N + i, N + i] = state.var_p[i]
+        cov[i, N + i] = cov[N + i, i] = state.cov_xp[i]
     cov[2:N, 2:N] = (O / omegas) @ O.T / 2.0
     cov[N + 2 :, N + 2 :] = (O * omegas) @ O.T / 2.0
-    return GaussianState(mean, symmetrize(cov))
+    return GaussianState(state.mean, symmetrize(cov))
 
 
 def uniform_step(times) -> float:

@@ -42,7 +42,7 @@ from .modes import (
     ohmic_gap_ratio,
     system_modes,
 )
-from .dynamics import initial_composite_state, squeezed_vacuum_local
+from .dynamics import product_state, squeezed_vacuum_local
 from .trajectory import NormalModeTrajectory
 
 SECTIONS = ("network", "probes", "initial", "measure", "run")
@@ -50,8 +50,9 @@ SECTIONS = ("network", "probes", "initial", "measure", "run")
 # ceiling on horizon / dt and horizon / dt_cov, about 16 times the 60,000 mean
 # samples of the longest preset; a run's arrays grow linearly with it
 MAX_SAMPLES = 1_000_000
-# ceiling on M: the set-up holds dense (M + 2)^2 and (2M + 4)^2 arrays, about
-# 3.2 GB for the initial covariance at this size
+# ceiling on M: a run holds a few dense (M + 2)^2 arrays at once (V, the modes
+# O, the chain's modes, W^T = B^T O and a ground-state block), 800 MB each at
+# this size; no (2M + 4)^2 array is formed
 MAX_SITES = 10_000
 # squeezing spreads a probe's variances over e^(-2r) .. e^(2r), so a
 # symplectic eigenvalue read off the evolved covariances carries a round-off
@@ -414,10 +415,12 @@ def _prepare(spec: ScenarioSpec):
     chain frequencies and the probe normal modes.
 
     The chain is diagonalized once, for the initial state and the modes.
-    Its M x M modes are freed before the engine diagonalizes the full
-    form.  The initial state's dense 2N x 2N covariance lives as long as
-    the engine, which keeps it by reference and reads it on the first
-    covariance read; a sweep site, which reads means only, never reads it.
+    The engine gets the initial state as a ``ProductState``: the site
+    mean, the chain's M x M modes O_chain by reference, and the covariance
+    in the basis diag(I_2, O_chain) as three diagonals, so no dense 2N x 2N
+    covariance is formed.  O_chain lives until the engine's first
+    covariance read, which forms W^T = B^T O from it and releases it; a
+    sweep site, which reads means only, never reads it.
     """
     cfg, probes, ini = spec.network, spec.probes, spec.initial
     qf = assemble_full_potential(cfg, probes)
@@ -426,13 +429,12 @@ def _prepare(spec: ScenarioSpec):
         squeezed_vacuum_local(probes.omega1, sign * ini.r1),
         squeezed_vacuum_local(probes.omega2, sign * ini.r2),
     )
-    omegas, O = chain_normal_modes(cfg)
-    state = initial_composite_state(((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, (omegas, O))
-    modes = system_modes(probes, (omegas, O))
-    del O
+    chain = chain_normal_modes(cfg)
+    state = product_state(((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, chain)
+    modes = system_modes(probes, chain)
     engine = NormalModeTrajectory(qf, state)
     n = int(round(spec.run.horizon / spec.run.dt))
-    return engine, np.arange(n + 1) * spec.run.dt, omegas, modes
+    return engine, np.arange(n + 1) * spec.run.dt, chain[0], modes
 
 
 def simulate(spec: ScenarioSpec) -> SimulationData:
@@ -497,6 +499,8 @@ def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:
         "c_vars_plateau": _nanmedian(data.sync_vars.in_band(lo, hi)),
         "degenerate_windows": int(np.isnan(c_means).sum() + np.isnan(c_vars[:n]).sum()),
         "unmatched_var_windows": c_means.size - n,
+        # trailing variance windows with no mean window: not in sync.csv
+        "dropped_var_windows": c_vars.size - n,
     }
     modes = data.modes
     summary["theta"] = modes.theta

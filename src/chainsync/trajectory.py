@@ -22,10 +22,14 @@ is stationary, and the part Delta = Sigma0 - Sigma_g that moves.  For a
 product of local probe states and the chain vacuum, Delta is numerically
 low-rank, and a deterministic resolvent basis Q with Delta = Q H Q^T to
 round-off is built once per engine, on the first covariance read.  H
-and the check of the residual are formed in site coordinates, where
-Sigma0 and Sigma_g live, through OU = O U: O(N^2 r) plus the two
-symmetric rank-N updates of Sigma_g = G G^T.  Sigma0 is never rotated
-into normal coordinates, and a reader of means alone never touches it.
+and the check of the residual are formed in the initial state's local
+basis B (site coordinates s = B l), where its covariance C = B^T Sigma0 B
+is given, through W^T U with W^T = B^T O: O(N^2 r) plus the two
+symmetric rank-N updates of the ground state (W^T sqrt(g))(W^T sqrt(g))^T.
+A ``dynamics.ProductState`` has B = diag(I_2, O_chain) and a diagonal C,
+so Sigma0 is never formed, and W^T costs one chain-sized product; a
+``GaussianState`` has B = I, C = Sigma0 and W^T = O.  A reader of means
+alone never touches B or C.
 The covariances are then the constant probe block of Sigma_g plus
 V H V^T, with V the probe trajectories of Q's 2r columns, O(N r) per
 sample.  Any other state takes the whole space as its basis (Q = I,
@@ -44,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
-    GaussianState, phase_map, phasor_sum_blocks, phasor_sums, spectrum, symmetrize
+    GaussianState, ProductState, phase_map, phasor_sum_blocks, phasor_sums, spectrum, symmetrize
 )
 from .lattice import QuadraticForm
 
@@ -78,12 +82,14 @@ class NormalModeTrajectory:
     """Closed-system trajectory of a Gaussian state under a stable
     quadratic form.
 
-    The initial mean is read when the engine is built; ``state.cov`` is
-    kept by reference and first read on the first covariance read
-    (``covariance_series``, ``covariance_basis`` or ``state_at``), so it
-    must not change in place before then."""
+    ``state`` is a ``GaussianState`` or a ``dynamics.ProductState``.  Its
+    mean is read when the engine is built.  The state itself, with its
+    covariance C and, for a ProductState, its chain modes B, is kept by
+    reference until the first covariance read (``covariance_series``,
+    ``covariance_basis`` or ``state_at``), which reads it once and
+    releases it; it must not change in place before then."""
 
-    def __init__(self, qf: QuadraticForm, state: GaussianState):
+    def __init__(self, qf: QuadraticForm, state: GaussianState | ProductState):
         if state.n_modes != qf.dim:
             raise ValueError("state and potential dimensions differ")
         self.nu, self.O, self.min_eigenvalue = spectrum(qf)
@@ -93,7 +99,7 @@ class NormalModeTrajectory:
         self._y0 = self.O.T @ state.mean[:N]
         self._pi0 = self.O.T @ state.mean[N:]
         # read on the first covariance read only, by ``_moving_part``
-        self._cov = state.cov
+        self._state = state
 
     @property
     def n_modes(self) -> int:
@@ -126,50 +132,84 @@ class NormalModeTrajectory:
         U, sv, _ = np.linalg.svd(A, full_matrices=False)
         return U[:, sv > _BASIS_CUT * sv[0]]
 
-    def _ground_block(self, g) -> np.ndarray:
-        """O diag(g) O^T, the x (g = 1/2nu) or p (g = nu/2) block of the
-        coupled ground state Sigma_g in site coordinates, as G G^T with
-        G = O diag(sqrt(g)): numpy takes an array times its own transpose
-        as one symmetric rank-N update, half the work of (O g) O^T."""
-        G = self.O * np.sqrt(g)
+    @staticmethod
+    def _ground_block(A, g) -> np.ndarray:
+        """A diag(g) A^T as G G^T with G = A diag(sqrt(g)): numpy takes an
+        array times its own transpose as one symmetric rank-N update, half
+        the work of (A g) A^T.  For A = O and g = 1/2nu or nu/2 it is the x
+        or p block of the coupled ground state Sigma_g in site coordinates;
+        for A = W^T = B^T O it is that block in the local basis B."""
+        G = A * np.sqrt(g)
         return G @ G.T
+
+    def _local_moments(self):
+        """(W^T, blocks): W^T = B^T O for the initial state's local basis
+        B, and the x, x-p and p blocks of its covariance C = B^T Sigma0 B,
+        a diagonal block given as its diagonal.  A ``ProductState`` has
+        B = diag(I_2, O_chain) and diagonal blocks, and W^T costs one
+        (N - 2)^2 by (N - 2) x N product; a ``GaussianState`` has B = I, so
+        W^T is O itself and C is Sigma0."""
+        state, O = self._state, self.O
+        N = O.shape[0]
+        if isinstance(state, GaussianState):
+            cov = state.cov
+            return O, [cov[:N, :N], cov[:N, N:], cov[N:, N:]]
+        Wt = np.empty_like(O)
+        Wt[:2] = O[:2]
+        np.matmul(state.chain_modes.T, O[2:], out=Wt[2:])
+        return Wt, [state.var_x, state.cov_xp, state.var_p]
 
     @cached_property
     def _moving_part(self):
         """(U, H, basis) with Delta = Q H Q^T for Q = diag(U, U): U the
         resolvent basis where it reproduces Delta to round-off, and
         ``basis`` its dimension 2r; otherwise U is the identity, H = Delta
-        and ``basis`` is ``"full"``.  Sigma0 is never rotated: H and the
-        residual are formed in site coordinates through OU = O U."""
-        nu, O, cov = self.nu, self.O, self._cov
+        and ``basis`` is ``"full"``.  H and the residual are formed in the
+        initial state's local basis B through W^T U, W^T = B^T O, so Sigma0
+        is neither formed nor rotated.  The state is read here once and
+        released."""
+        nu = self.nu
         N = nu.size
-        blocks = [(cov[:N, :N], 0.5 / nu), (cov[:N, N:], None), (cov[N:, N:], 0.5 * nu)]
+        Wt, C = self._local_moments()
+        self._state = None
+        blocks = list(zip(C, (0.5 / nu, None, 0.5 * nu)))
 
         def project(U):
-            OU = O @ U
-            return OU, [OU.T @ S @ OU - (0.0 if g is None else (U.T * g) @ U) for S, g in blocks]
+            WU = Wt @ U
+            return WU, [
+                ((WU.T @ S if S.ndim == 2 else WU.T * S) @ WU)
+                - (0.0 if g is None else (U.T * g) @ U)
+                for S, g in blocks
+            ]
 
         U = self._resolvent_basis()
-        OU, H = project(U)
-        # ||Delta - Q H Q^T||_F and ||Sigma0||_F, both invariant under O, one
-        # tile of rows at a time in site coordinates (the x-p block counts twice)
+        WU, H = project(U)
+        # ||Delta - Q H Q^T||_F and ||Sigma0||_F, both invariant under the
+        # orthogonal B and O, one tile of rows at a time in the basis B (the
+        # x-p block counts twice)
         resid = norm = 0.0
         for (S, g), h, w in zip(blocks, H, (1, 2, 1)):
-            Sg = None if g is None else self._ground_block(g)
+            Sg = None if g is None else self._ground_block(Wt, g)
             for lo in range(0, N, _ROWS):
                 rows = slice(lo, lo + _ROWS)
-                R = S[rows] - (OU[rows] @ h) @ OU.T
+                # C's rows; a diagonal block's tile is formed from its diagonal
+                T = S[rows] if S.ndim == 2 else np.eye(S[rows].size, N, lo) * S[rows, None]
+                R = T - (WU[rows] @ h) @ WU.T
                 if Sg is not None:
                     R -= Sg[rows]
                 resid += w * np.einsum("ij,ij->", R, R)
-                norm += w * np.einsum("ij,ij->", S[rows], S[rows])
-        # Sigma0's chain blocks (``initial_composite_state``) and Sigma_g =
-        # G G^T are each one product of N-term sums, off by at most
-        # gamma_N tr(Sigma) <= N^{3/2} eps ||Sigma||_F in Frobenius norm (the
-        # trace of a positive matrix is at most sqrt(N) times its Frobenius
-        # norm).  Sigma0's chain vacuum is near Sigma_g, so Delta is only
-        # known to 2 N^{3/2} eps ||Sigma0||_F; a smaller residual is below
-        # that noise.  On the presets it is 0.2-0.5 N eps ||Sigma0||_F.
+                norm += w * np.einsum("ij,ij->", T, T)
+        # C is exact to one rounding per entry, and ||C||_F = ||Sigma0||_F.
+        # The round-off sits in the ground state G G^T, G = W^T diag(sqrt(g)):
+        # W^T = B^T O and G G^T are each one product of N-term sums, the two
+        # products that formed Sigma0's chain blocks and Sigma_g in site
+        # coordinates.  Each is taken to be off by about gamma_N tr(Sigma) <=
+        # N^{3/2} eps ||Sigma||_F in Frobenius norm (the trace of a positive
+        # matrix is at most sqrt(N) times its Frobenius norm).  The chain
+        # vacuum is near Sigma_g, so Delta is only known to
+        # 2 N^{3/2} eps ||Sigma0||_F; a smaller residual is below that noise.
+        # On the presets at M = 60 to 1000 it is 0.17-0.63 N eps ||Sigma0||_F
+        # in the product basis and 0.18-0.51 in site coordinates (B = I).
         basis = 2 * U.shape[1]
         if np.sqrt(resid) > 2.0 * N**1.5 * np.finfo(float).eps * np.sqrt(norm):
             U, basis = np.eye(N), "full"
@@ -223,7 +263,7 @@ class NormalModeTrajectory:
             P[idx] = np.hstack([D[:, :N] @ U, D[:, N:] @ U])
         cov = np.zeros((2 * N, 2 * N))
         for part, g in ((slice(0, N), 0.5 / nu), (slice(N, 2 * N), 0.5 * nu)):
-            cov[part, part] = self._ground_block(g)
+            cov[part, part] = self._ground_block(O, g)
         PH = P @ H
         for lo in range(0, 2 * N, _ROWS):
             cov[lo : lo + _ROWS] += PH[lo : lo + _ROWS] @ P.T

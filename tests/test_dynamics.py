@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -21,9 +22,10 @@ from chainsync import (
     symplectic_form,
     symplectic_spectrum,
 )
-from chainsync.dynamics import phase_map, spectrum
+from chainsync import trajectory
+from chainsync.dynamics import phase_map, product_state, spectrum
 from chainsync.lattice import chain_normal_modes
-from chainsync.scenarios import PRESETS, resolve_spec
+from chainsync.scenarios import PRESETS, _prepare, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import (
@@ -217,14 +219,20 @@ def test_vacuum_product_state_is_stationary_when_decoupled():
     assert np.allclose(symplectic_spectrum(out.cov), 0.5, atol=1e-10)
 
 
+# the dense site-basis state and the run path's chain-basis product state
+BUILDERS = {
+    "site": lambda covs, cfg: initial_composite_state(((0.0, 0.0), (0.0, 0.0)), covs, cfg),
+    "product": lambda covs, cfg: product_state(
+        ((0.0, 0.0), (0.0, 0.0)), covs, chain_normal_modes(cfg)
+    ),
+}
+
+
 def test_initial_state_rejects_subvacuum_covariance():
     cfg = NetworkConfig(M=3, omega0=0.6, g=1.0)
-    with pytest.raises(UncertaintyViolation):
-        initial_composite_state(
-            ((0.0, 0.0), (0.0, 0.0)),
-            (np.diag([0.1, 0.1]), squeezed_vacuum_local(1.1, 0.0)),
-            cfg,
-        )
+    for builder in BUILDERS.values():
+        with pytest.raises(UncertaintyViolation):
+            builder((np.diag([0.1, 0.1]), squeezed_vacuum_local(1.1, 0.0)), cfg)
 
 
 # det alone passes both: -I has nu = 1, and the asymmetric block has det 26
@@ -234,10 +242,32 @@ def test_initial_state_rejects_subvacuum_covariance():
     (np.array([[1.0, 5.0], [-5.0, 1.0]]), ValueError),
 ])
 def test_initial_state_rejects_unphysical_covariance_with_a_valid_det(c, error):
+    # both builders raise the same error with the same message
     cfg = NetworkConfig(M=3, omega0=0.6, g=1.0)
     for covs in ((c, squeezed_vacuum_local(1.1, 0.0)), (squeezed_vacuum_local(1.0, 0.0), c)):
-        with pytest.raises(error, match="probe"):
-            initial_composite_state(((0.0, 0.0), (0.0, 0.0)), covs, cfg)
+        messages = set()
+        for builder in BUILDERS.values():
+            with pytest.raises(error, match="probe") as info:
+                builder(covs, cfg)
+            messages.add((type(info.value), str(info.value)))
+        assert len(messages) == 1
+
+
+def test_product_state_is_the_composite_state_in_the_chain_basis():
+    cfg = NetworkConfig(M=9, omega0=0.6, g=1.0)
+    means = ((0.14, 0.25), (1.4, -0.5))
+    covs = (squeezed_vacuum_local(1.0, 0.7), np.array([[0.8, 0.3], [0.3, 0.6]]))
+    chain = chain_normal_modes(cfg)
+    state = product_state(means, covs, chain)
+    dense = initial_composite_state(means, covs, cfg)
+    N = cfg.M + 2
+    B = np.eye(N)
+    B[2:, 2:] = chain[1]
+    assert state.chain_modes is chain[1] and state.n_modes == N
+    assert np.array_equal(state.mean, dense.mean)
+    for (rows, cols), diag in (((0, 0), state.var_x), ((0, 1), state.cov_xp), ((1, 1), state.var_p)):
+        block = dense.cov[rows * N : (rows + 1) * N, cols * N : (cols + 1) * N]
+        assert np.allclose(B @ np.diag(diag) @ B.T, block, rtol=0.0, atol=1e-15)
 
 
 def test_propagator_identity_and_quarter_period():
@@ -441,6 +471,72 @@ def test_a_means_only_engine_holds_no_covariance_block():
         tracemalloc.stop()
     assert np.all(np.isfinite(X))
     assert peak <= 3 * N * N * 8, peak / (8 * N * N)
+
+
+def assert_product_path_matches_site_path(spec, probe_covs):
+    """Engines of a spec's initial state in the chain basis (the run path's
+    ProductState) and in site coordinates (the dense state) agree; returns
+    their covariance basis."""
+    ini = spec.initial
+    means = ((ini.x1, ini.p1), (ini.x2, ini.p2))
+    qf = assemble_full_potential(spec.network, spec.probes)
+    product = NormalModeTrajectory(
+        qf, product_state(means, probe_covs, chain_normal_modes(spec.network))
+    )
+    site = NormalModeTrajectory(qf, initial_composite_state(means, probe_covs, spec.network))
+    n = int(round(spec.run.horizon / spec.run.dt_cov))
+    times = np.arange(n + 1) * spec.run.dt_cov
+    got, ref = product.covariance_series(times), site.covariance_series(times)
+    assert product.covariance_basis == site.covariance_basis
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for t in (0.0, 37.3):
+        got, ref = product.state_at(t), site.state_at(t)
+        assert np.max(np.abs(got.cov - ref.cov)) <= 1e-14 * np.max(np.abs(ref.cov))
+        assert np.max(np.abs(got.mean - ref.mean)) <= 1e-14 * np.max(np.abs(ref.mean))
+    return site.covariance_basis
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_product_path_matches_site_path(preset):
+    spec, probe_covs, _ = preset_system(preset, 60)
+    assert isinstance(assert_product_path_matches_site_path(spec, probe_covs), int)
+
+
+def test_product_path_matches_site_path_on_a_custom_network():
+    rng = np.random.default_rng(11)
+    A = np.triu(rng.uniform(0.0, 1.5, size=(60, 60)) * (rng.random((60, 60)) < 0.1), 1)
+    spec, probe_covs, _ = preset_system("fig5_entanglement_common", 60)
+    network = NetworkConfig(M=60, omega0=0.4, g=1.2, coupling_matrix=A + A.T)
+    spec = dataclasses.replace(spec, network=network)
+    assert_product_path_matches_site_path(spec, probe_covs)
+
+
+def test_product_path_matches_site_path_on_the_whole_space(monkeypatch):
+    # two shifts leave the resolvent basis far from round-off, so both
+    # paths take the whole space as the basis of the moving part
+    monkeypatch.setattr(trajectory, "_SHIFTS", 2)
+    spec, probe_covs, _ = preset_system("fig2_dissipation", 60)
+    assert assert_product_path_matches_site_path(spec, probe_covs) == "full"
+
+
+def test_the_run_path_holds_no_dense_initial_covariance():
+    # set-up and first covariance read of fig5: the spectrum holds O and
+    # its eigh works on a copy of V next to the chain's modes; the first
+    # covariance read holds O, W^T, G and one ground-state block, plus
+    # tiles of _ROWS rows (0.64 N^2 each at this N).  The dense Sigma0
+    # alone would add 4 N^2 doubles (8.9 N^2 in all when it was formed).
+    spec = resolve_spec("fig5_entanglement_common", {"M": 400})
+    N = spec.network.M + 2
+    tracemalloc.start()
+    try:
+        engine, _, _, _ = _prepare(spec)
+        covs = engine.covariance_series(np.arange(101) * spec.run.dt_cov)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(covs))
+    ratio = peak / (8 * N * N)
+    assert ratio <= 7.0, f"peak {ratio:.2f} N^2 doubles"
 
 
 def test_a_mixed_state_takes_the_whole_space_and_stays_exact():

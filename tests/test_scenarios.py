@@ -13,16 +13,19 @@ from chainsync import (
     NetworkConfig,
     ParseError,
     RangeError,
+    UncertaintyViolation,
     UnknownKey,
     assemble_full_potential,
     check_stability,
     format_config,
+    initial_composite_state,
     resolve_spec,
     run_scenario,
     simulate,
     sweep_plug_site,
     sync_series,
 )
+from chainsync import scenarios
 from chainsync.errors import ConfigError
 from chainsync.scenarios import MAX_SAMPLES, MAX_SITES, read_config
 
@@ -339,8 +342,11 @@ def test_record_counts_degenerate_and_unmatched_windows(tmp_path):
     assert rows.shape[0] == 21 and np.all(np.isnan(rows[:, 1])) and np.all(np.isfinite(rows[:, 2]))
     assert record.summary["degenerate_windows"] == 21
     assert record.summary["unmatched_var_windows"] == 0
+    assert record.summary["dropped_var_windows"] == 0
     text = (tmp_path / "a" / "record.txt").read_text()
-    assert "\ndegenerate_windows = 21\nunmatched_var_windows = 0\n" in text
+    assert (
+        "\ndegenerate_windows = 21\nunmatched_var_windows = 0\ndropped_var_windows = 0\n" in text
+    )
     # a coarse mean grid ends at 62.0 and the variance grid at 61.5, so the
     # last mean window has no variance window: its c_vars is NaN, not degenerate
     spec = resolve_spec(
@@ -351,6 +357,32 @@ def test_record_counts_degenerate_and_unmatched_windows(tmp_path):
     assert rows.shape[0] == 22 and np.isnan(rows[-1, 2])
     assert record.summary["degenerate_windows"] == 22
     assert record.summary["unmatched_var_windows"] == 1
+    assert record.summary["dropped_var_windows"] == 0
+
+
+def test_record_counts_dropped_variance_windows(tmp_path):
+    # the variance grid rounds up to 62.0 while the mean grid ends at 61.9,
+    # so the last of 22 variance windows has no mean window and no row in
+    # sync.csv
+    spec = resolve_spec("fig5_entanglement_common", {"M": 24, "horizon": 61.9})
+    record = run_scenario(spec, out_dir=tmp_path)
+    rows = np.loadtxt(tmp_path / "sync.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == 21 and np.all(np.isfinite(rows[:, 2]))
+    assert record.summary["unmatched_var_windows"] == 0
+    assert record.summary["dropped_var_windows"] == 1
+    text = (tmp_path / "record.txt").read_text()
+    assert "\nunmatched_var_windows = 0\ndropped_var_windows = 1\n" in text
+
+
+def test_a_bad_probe_covariance_fails_the_run_path_as_the_dense_state(monkeypatch):
+    bad = np.diag([0.1, 0.1])
+    spec = resolve_spec("custom", SMALL)
+    with pytest.raises(UncertaintyViolation) as dense:
+        initial_composite_state(((0.0, 0.0), (0.0, 0.0)), (bad, bad), spec.network)
+    monkeypatch.setattr(scenarios, "squeezed_vacuum_local", lambda omega, r: bad)
+    with pytest.raises(UncertaintyViolation) as run:
+        simulate(spec)
+    assert str(run.value) == str(dense.value)
 
 
 def test_momentum_squeeze_axis_flag():
