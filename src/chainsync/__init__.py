@@ -17,7 +17,6 @@ from .dynamics import (
 from .errors import (
     ChainSyncError,
     ConfigError,
-    DegenerateWindow,
     InstabilityError,
     NonPhysical,
     ParseError,
@@ -45,7 +44,6 @@ from .measures import (
     correlation_report,
     log_negativity,
     mutual_information,
-    pearson,
     symplectic_spectrum,
     sync_series,
     vn_entropy,

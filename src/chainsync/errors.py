@@ -30,10 +30,6 @@ class UncertaintyViolation(ChainSyncError):
     """A covariance matrix violates the Robertson-Schroedinger bound."""
 
 
-class DegenerateWindow(ChainSyncError):
-    """Pearson window where at least one signal is constant."""
-
-
 class NonPhysical(ChainSyncError):
     """Symplectic eigenvalue below the vacuum floor on a state claimed
     physical."""

@@ -15,30 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import symplectic_form, uniform_step
-from .errors import DegenerateWindow, NonPhysical
+from .errors import NonPhysical
 
 MIN_WINDOW_SAMPLES = 8
 _VAR_FLOOR = 1e-30
-
-
-def pearson(f, g) -> float:
-    """Pearson correlation of two equally sampled signals.
-
-    Raises DegenerateWindow when either signal is (numerically) constant.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != g.shape:
-        raise ValueError("signals must share the sample grid")
-    if f.size < MIN_WINDOW_SAMPLES:
-        raise ValueError(f"window holds {f.size} samples, need >= {MIN_WINDOW_SAMPLES}")
-    df = f - f.mean()
-    dg = g - g.mean()
-    vf = float(df @ df) / f.size
-    vg = float(dg @ dg) / g.size
-    if vf < _VAR_FLOOR or vg < _VAR_FLOOR:
-        raise DegenerateWindow("constant signal in window")
-    return float(df @ dg / math.sqrt((df @ df) * (dg @ dg)))
+# Round-off puts a product state's symplectic eigenvalues up to 5.5e-14 from
+# the vacuum value 1/2 (fig5 and fig6 at t = 0 with |r| = 2; about
+# eps e^(4|r|) / 12, so this slack covers |r| up to about 2.1), while the
+# nearest true departure on the presets is 2.7e-13 (the joint state of
+# appB_sweep at t = 0.2, growing as t^6).  An eigenvalue within the slack of
+# 1/2 is read as 1/2: E moves by at most 2e-13 and an entropy by at most
+# 1e-13 (1 + ln 1e13) = 3.1e-12.
+_NU_SLACK = 1e-13
 
 
 @dataclass(frozen=True)
@@ -88,8 +76,10 @@ def sync_series(times, f, g, window, stride, delay: float = 0.0) -> SyncSeries:
     ``times`` must be a uniform grid of step dt that ``window_samples``
     accepts.  Windows start every stride / dt samples from times[0];
     those whose f or delayed g samples would run past the data are
-    dropped, and degenerate windows are stored as NaN rather than
-    aborting the series.
+    dropped.  Each window of n samples is the two-pass Pearson
+    sum(df dg) / sqrt(sum(df^2) sum(dg^2)) of the deviations df, dg from
+    the window means; a window where sum(df^2) / n or sum(dg^2) / n is
+    below 1e-30 (a constant signal) is stored as NaN.
     """
     times = np.asarray(times, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -98,18 +88,17 @@ def sync_series(times, f, g, window, stride, delay: float = 0.0) -> SyncSeries:
         raise ValueError("times, f, g must have equal length")
     # windows are counted in samples, so every time must sit on t0 + k dt
     w, step, d = window_samples(window, stride, delay, uniform_step(times))
+    n = w + 1
     starts, values = [], []
-    i = 0
-    while i + w < times.size:
+    for i in range(0, times.size - w, step):
         j = i + d
         if j >= 0 and j + w < g.size:
-            try:
-                c = pearson(f[i : i + w + 1], g[j : j + w + 1])
-            except DegenerateWindow:
-                c = math.nan
+            df = f[i : i + n] - f[i : i + n].mean()
+            dg = g[j : j + n] - g[j : j + n].mean()
+            sff, sgg = float(df @ df), float(dg @ dg)
             starts.append(times[i])
-            values.append(c)
-        i += step
+            degenerate = sff / n < _VAR_FLOOR or sgg / n < _VAR_FLOOR
+            values.append(math.nan if degenerate else float(df @ dg / math.sqrt(sff * sgg)))
     return SyncSeries(np.array(starts), np.array(values))
 
 
@@ -128,16 +117,22 @@ def symplectic_spectrum(cov) -> np.ndarray:
 def _nu_entropy(nus) -> np.ndarray:
     """Entropy (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2) of each
     symplectic eigenvalue; one below the vacuum floor 1/2 (1e-6 slack)
-    raises NonPhysical, and one within the slack is read as 1/2, whose
-    entropy is exactly 0."""
+    raises NonPhysical, and one below 1/2 + _NU_SLACK is read as 1/2,
+    whose entropy is exactly 0."""
     nus = np.asarray(nus, dtype=float)
     if np.any(nus < 0.5 - 1e-6):
         raise NonPhysical(f"symplectic eigenvalue {nus.min():.9f} below the vacuum floor 1/2")
-    nus = np.maximum(nus, 0.5)
+    nus = np.where(nus < 0.5 + _NU_SLACK, 0.5, nus)
     plus = nus + 0.5
     minus = nus - 0.5
     safe = np.where(minus > 0, minus, 1.0)  # (nu - 1/2) ln(nu - 1/2) -> 0 at nu = 1/2
     return plus * np.log(plus) - minus * np.log(safe)
+
+
+def _negativity(nu_min):
+    """-ln 2 nu_min for the smallest symplectic eigenvalue of a partial
+    transpose, read as 0 from 1/2 - _NU_SLACK up."""
+    return np.where(nu_min < 0.5 - _NU_SLACK, -np.log(2.0 * nu_min), 0.0)
 
 
 def vn_entropy(cov) -> float:
@@ -160,15 +155,16 @@ def log_negativity(cov) -> float:
     """Logarithmic negativity of a two-mode covariance.
 
     Partial transposition flips the sign of the second momentum; the
-    entanglement is E = max(0, -ln 2 nu_min) with nu_min the smallest
-    symplectic eigenvalue of the transformed covariance (vacuum at 1/2).
+    entanglement is E = -ln 2 nu_min with nu_min the smallest symplectic
+    eigenvalue of the transformed covariance (vacuum at 1/2), read as 0
+    from nu_min = 1/2 - _NU_SLACK up.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (4, 4):
         raise ValueError("log negativity expects a two-mode (4x4) covariance")
     P = np.diag([1.0, 1.0, 1.0, -1.0])
     nus = symplectic_spectrum(P @ cov @ P)
-    return float(max(0.0, -math.log(2.0 * nus[0])))
+    return float(_negativity(nus[0]))
 
 
 @dataclass(frozen=True)
@@ -226,6 +222,6 @@ def correlation_report(times, covs) -> CorrelationReport:
     S12 = _nu_entropy(nu_plus) + _nu_entropy(nu_minus)
     flip = np.array([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
     _, nu_pt = _two_mode_spectrum(covs * np.outer(flip, flip), det_a + det_b - 2 * det_c, det)
-    E = np.maximum(0.0, -np.log(2.0 * nu_pt))
+    E = _negativity(nu_pt)
     # subadditivity: S12 <= S1 + S2, so a negative MI is round-off
     return CorrelationReport(times, E, np.maximum(0.0, S1 + S2 - S12), S1, S2, S12)

@@ -289,8 +289,6 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
     if K < 0:
         raise RangeError(f"K must be non-negative, got {K}")
     window, stride, delay = values["window"], values["stride"], values["delay"]
-    if values["horizon"] < window:
-        raise RangeError(f"horizon {values['horizon']} is shorter than the window {window}")
     # Gershgorin bound nu_bar on the fastest normal frequency; the variances
     # carry 2 nu.  A probe's 2x2 principal minor of V already shows a form
     # with K^2 >= (omega^2 + lambda)(omega0^2 + 2g) unstable, and that is
@@ -319,9 +317,15 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
                 f"{MAX_SAMPLES} samples"
             )
         try:
-            window_samples(window, stride, delay, values[key])
+            w, step, d = window_samples(window, stride, delay, values[key])
         except ValueError as exc:
             raise RangeError(f"{exc} ({key})") from None
+        # the first window start on the stride grid whose delayed partner
+        # starts at or after t = 0; both must end inside the horizon
+        first = -(-max(0, -d) // step) * step
+        if first + max(0, d) + w > round(values["horizon"] / values[key]):
+            raise RangeError(f"delay {delay} and window {window} leave no window "
+                             f"inside the horizon {values['horizon']} ({key})")
     if values["squeeze_axis"] not in ("position", "momentum"):
         raise RangeError(
             f"squeeze_axis must be 'position' or 'momentum', got {values['squeeze_axis']!r}"

@@ -4,9 +4,10 @@
     python tests/golden.py compare A B
 
 ``write`` runs each of the 7 presets at M = 60 and horizon 200 (the
-second probe at site 60 on the edge presets), fig2 at full scale, and
-the appB plug-site sweep at M = 40 over sites 1, 4, ..., 40, each into
-its own folder of DIR.  chainsync is imported from the path, so the
+second probe at site 60 on the edge presets), fig4_edges once more with
+a delay of 30 (a whole multiple of dt and dt_cov), fig2 at full scale,
+and the appB plug-site sweep at M = 40 over sites 1, 4, ..., 40, each
+into its own folder of DIR.  chainsync is imported from the path, so the
 same script writes the set of any checkout.
 
 ``compare`` lists every file that is in one set only or differs between
@@ -29,6 +30,7 @@ import numpy as np
 
 RUN_M = 60
 RUN_HORIZON = 200.0
+RUN_DELAY = 30.0
 SWEEP_M = 40
 SWEEP_STEP = 3
 
@@ -43,6 +45,9 @@ def write(out) -> None:
         site_n = min(PRESETS[preset].get("site_n", 1), RUN_M)
         spec = resolve_spec(preset, {"M": RUN_M, "horizon": RUN_HORIZON, "site_n": site_n})
         run_scenario(spec, out_dir=out / preset)
+    spec = resolve_spec("fig4_edges", {"M": RUN_M, "horizon": RUN_HORIZON, "site_n": RUN_M,
+                                       "delay": RUN_DELAY})
+    run_scenario(spec, out_dir=out / "fig4_edges_delayed")
     run_scenario(resolve_spec("fig2_dissipation"), out_dir=out / "fig2_full")
     spec = resolve_spec("appB_sweep", {"M": SWEEP_M, "sweep_step": SWEEP_STEP})
     sweep_plug_site(spec, out_dir=out / "appB_sweep_sites")

@@ -106,6 +106,32 @@ def correlation_loop(covs):
     return tuple(np.array(rows).reshape(-1, 5).T)
 
 
+def pearson_windows(times, f, g, w, step, d):
+    """(starts, values) of the two-pass Pearson correlation of f[i : i + w + 1]
+    against g[i + d : i + d + w + 1] for i = 0, step, 2 step, ..., keeping
+    the windows that lie inside the data; NaN where either window's
+    variance is below 1e-30.
+
+    The per-window reference for ``sync_series``, in the same arithmetic
+    and order, so the two agree bit for bit.
+    """
+    starts, values = [], []
+    i = 0
+    while i + w < len(times):
+        j = i + d
+        if j >= 0 and j + w < len(g):
+            x, y = f[i : i + w + 1], g[j : j + w + 1]
+            dx, dy = x - x.mean(), y - y.mean()
+            if float(dx @ dx) / x.size < 1e-30 or float(dy @ dy) / y.size < 1e-30:
+                c = math.nan
+            else:
+                c = float(dx @ dy / math.sqrt((dx @ dx) * (dy @ dy)))
+            starts.append(times[i])
+            values.append(c)
+        i += step
+    return np.array(starts), np.array(values)
+
+
 def scan_delayed_sync(times, f, g, window, stride, delays, band=None):
     """Grid scan over delays, maximizing |C|; ties break toward zero delay.
 

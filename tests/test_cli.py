@@ -153,6 +153,26 @@ def test_chain_sizes_above_the_ceiling_exit_2(capsys):
     assert capsys.readouterr().err == f"config error: M={ceiling + 1} exceeds {ceiling} chain sites\n"
 
 
+# a delay with |delay| + window past the horizon used to write a header-only
+# sync.csv and c_means_plateau = nan and exit 0; the last items leave
+# |delay| + window inside the horizon, but no start on the stride grid
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+@pytest.mark.parametrize("items", [
+    ("horizon=100", "delay=90"),
+    ("horizon=100", "delay=-200"),
+    ("horizon=96", "stride=10", "delay=-75"),
+])
+def test_delays_that_leave_no_window_exit_2(tmp_path, capsys, command, items):
+    out = tmp_path / "out"
+    argv = [command, "--set", "preset=appB_sweep", "--set", "M=20"]
+    for item in items:
+        argv += ["--set", item]
+    assert main(argv + ([] if command == "validate" else ["--out", str(out)])) == 2
+    err = capsys.readouterr().err
+    assert "delay" in err and "window" in err and "horizon" in err
+    assert not out.exists()
+
+
 def test_out_that_the_config_echo_cannot_carry_exits_2(capsys):
     assert main(["validate", "--set", "M=20", "--set", "out=runs/a#1"]) == 2
     assert "out must be" in capsys.readouterr().err

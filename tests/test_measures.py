@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chainsync import (
-    DegenerateWindow,
     NetworkConfig,
     NonPhysical,
     ProbePair,
@@ -14,7 +13,6 @@ from chainsync import (
     initial_composite_state,
     log_negativity,
     mutual_information,
-    pearson,
     propagator,
     reduce,
     squeezed_vacuum_local,
@@ -26,7 +24,7 @@ from chainsync.measures import window_samples
 from chainsync.scenarios import resolve_spec, simulate
 from chainsync.trajectory import NormalModeTrajectory
 
-from oracles import correlation_loop, dominant_frequency, scan_delayed_sync
+from oracles import correlation_loop, dominant_frequency, pearson_windows, scan_delayed_sync
 
 
 def tms_covariance(r):
@@ -62,40 +60,71 @@ def entropy_formula(nu):
     return (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5) if nu > 0.5 else 0.0
 
 
+def one_window(t, f, g):
+    """The sync_series value of the one window spanning the whole grid."""
+    (c,) = sync_series(t, f, g, window=t[-1] - t[0], stride=t[-1] - t[0]).values
+    return c
+
+
 def test_pearson_perfect_correlation():
-    t = np.linspace(0, 10, 200)
+    t = np.arange(200) * 0.05
     f = np.exp(-0.1 * t) * np.cos(1.3 * t)
-    assert pearson(f, f) == pytest.approx(1.0, abs=1e-12)
-    assert pearson(f, -f) == pytest.approx(-1.0, abs=1e-12)
+    assert one_window(t, f, f) == pytest.approx(1.0, abs=1e-12)
+    assert one_window(t, f, -f) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_pearson_affine_invariance_and_bounds():
     rng = np.random.default_rng(2)
-    t = np.linspace(0, 20, 400)
+    t = np.arange(400) * 0.05
     for _ in range(20):
         f = np.cos(rng.uniform(0.5, 2) * t + rng.uniform(0, 6))
         g = np.cos(rng.uniform(0.5, 2) * t + rng.uniform(0, 6))
-        c = pearson(f, g)
+        c = one_window(t, f, g)
         assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
         a, b = float(rng.uniform(0.1, 5)), float(rng.uniform(-3, 3))
-        assert pearson(a * f + b, g) == pytest.approx(c, abs=1e-10)
-        assert pearson(-a * f + b, g) == pytest.approx(-c, abs=1e-10)
+        assert one_window(t, a * f + b, g) == pytest.approx(c, abs=1e-10)
+        assert one_window(t, -a * f + b, g) == pytest.approx(-c, abs=1e-10)
+        assert np.all(np.abs(sync_series(t, f, g, window=5.0, stride=1.0).values) <= 1.0 + 1e-12)
 
 
 def test_pearson_orthogonal_over_full_periods():
     dt = 2 * np.pi / 1000
-    t = np.arange(0, 4 * 2 * np.pi + dt / 2, dt)
-    assert abs(pearson(np.sin(t), np.cos(t))) < 1e-6
+    t = np.arange(4001) * dt  # four full periods
+    assert abs(one_window(t, np.sin(t), np.cos(t))) < 1e-6
 
 
 def test_pearson_window_selection_and_guards():
-    t = np.linspace(0, 10, 101)
+    t = np.arange(101) * 0.1
     f = np.cos(t)
     g = np.sin(t)
-    with pytest.raises(ValueError):
-        pearson(f[:5], g[:5])  # too few samples
-    with pytest.raises(DegenerateWindow):
-        pearson(np.ones(20), g[:20])
+    with pytest.raises(ValueError, match="fewer than 8 samples"):
+        one_window(t[:5], f[:5], g[:5])
+    assert math.isnan(one_window(t[:20], np.ones(20), g[:20]))
+    assert math.isnan(one_window(t[:20], f[:20], np.full(20, -3.0)))
+
+
+@pytest.fixture(scope="module")
+def sync_signals():
+    """(times, f, g) of the fig2 means, the fig2 position variances and
+    the means of one appB_sweep plug site, at full scale."""
+    fig2 = simulate(resolve_spec("fig2_dissipation", {"write_quantum": False}))
+    site = simulate(resolve_spec("appB_sweep", {"site_n": 43, "write_quantum": False}))
+    return {
+        "fig2 means": (fig2.times, fig2.x1, fig2.x2),
+        "fig2 variances": (fig2.cov_times, fig2.var_x1, fig2.var_x2),
+        "appB site 43 means": (site.times, site.x1, site.x2),
+    }
+
+
+@pytest.mark.parametrize("delay", [0.0, 3.0, -1.2])
+@pytest.mark.parametrize("name", ["fig2 means", "fig2 variances", "appB site 43 means"])
+def test_sync_series_matches_the_two_pass_reference_bit_for_bit(sync_signals, name, delay):
+    times, f, g = sync_signals[name]
+    ss = sync_series(times, f, g, 20.0, 2.0, delay)
+    starts, values = pearson_windows(times, f, g, *window_samples(20.0, 2.0, delay, times[1]))
+    assert ss.values.size > 250
+    assert ss.times.tobytes() == starts.tobytes()
+    assert ss.values.tobytes() == values.tobytes()
 
 
 def test_sync_series_identical_damped_cosines():
@@ -204,6 +233,9 @@ def test_vn_entropy_values():
     assert vn_entropy(np.diag([1.0, 1.0])) == pytest.approx(0.9547712524422, rel=1e-10)
     # an eigenvalue inside the vacuum-floor slack is read as 1/2
     assert vn_entropy(np.diag([0.5 - 1e-9, 0.5 - 1e-9])) == 0.0
+    # and so is one within the 1e-13 round-off slack above it
+    assert vn_entropy(np.diag([0.5 + 9e-14, 0.5 + 9e-14])) == 0.0
+    assert vn_entropy(np.diag([0.5 + 2e-13, 0.5 + 2e-13])) > 0.0
     # additivity on product covariances
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -332,6 +364,19 @@ def test_fig6_entropies_and_mutual_information_are_never_negative():
             )
             cov[np.ix_([i, i + 2], [i, i + 2])] = n * S @ S.T
         assert mutual_information(cov) >= 0.0
+
+
+# the product state at t = 0 carries no correlation; round-off used to put
+# E = 1.1e-13, 5.4e-14 and 8.4e-14 and MI = 1.6e-14 into these rows
+@pytest.mark.parametrize("preset, overrides", [
+    ("fig6_mi_edges", {"M": 60, "horizon": 200.0, "site_n": 60}),
+    ("fig6_mi_edges", {}),
+    ("fig5_entanglement_common", {"M": 2000, "horizon": 60.0}),
+    ("fig5_entanglement_common", {}),
+])
+def test_product_state_rows_read_no_correlation(preset, overrides):
+    rep = simulate(resolve_spec(preset, overrides)).quantum
+    assert [rep.E[0], rep.MI[0], rep.S1[0], rep.S2[0], rep.S12[0]] == [0.0] * 5
 
 
 def test_correlation_report_rejects_subvacuum():
