@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _build_spec(args)
-    record = sweep_plug_site(spec, workers=args.workers, out_dir=args.out)
+    record = sweep_plug_site(spec, out_dir=args.out)
     print(
         f"swept {record.summary['sites']} sites "
         f"({record.summary['failed_sites']} failed) -> {args.out or spec.run.out}"
@@ -109,7 +109,6 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="sweep the second probe's plugging site")
     _add_common(p_sweep)
     p_sweep.add_argument("--out", metavar="DIR", help="output directory")
-    p_sweep.add_argument("--workers", type=int, default=1, metavar="N")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="parse config and check stability only")

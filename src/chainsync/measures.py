@@ -19,14 +19,16 @@ from .errors import NonPhysical
 
 MIN_WINDOW_SAMPLES = 8
 _VAR_FLOOR = 1e-30
-# Round-off puts a product state's symplectic eigenvalues up to 5.5e-14 from
-# the vacuum value 1/2 (fig5 and fig6 at t = 0 with |r| = 2; about
-# eps e^(4|r|) / 12, so this slack covers |r| up to about 2.1), while the
-# nearest true departure on the presets is 2.7e-13 (the joint state of
-# appB_sweep at t = 0.2, growing as t^6).  An eigenvalue within the slack of
-# 1/2 is read as 1/2: E moves by at most 2e-13 and an entropy by at most
-# 1e-13 (1 + ln 1e13) = 3.1e-12.
+# Round-off moves a pure state's symplectic eigenvalues off 1/2 by up to
+# 8.8e-14 unsqueezed (fig6 at t = 0, M = 2000), plus up to 2.4 eps
+# max|sigma_ij|^2 from the cancellation in the determinants once a squeezed
+# axis has turned (free probes, |r| <= 5.5).  An eigenvalue within the
+# slack _NU_SLACK + _NU_SLACK_GAIN eps max|sigma_ij|^2 of 1/2 reads as 1/2.
+# The nearest true departure on the presets, 2.7e-13 (appB_sweep's joint
+# state at t = 0.2), is above its slack of 1.0e-13.  E moves by at most
+# twice the slack, an entropy by at most slack (1 + ln(1 / slack)).
 _NU_SLACK = 1e-13
+_NU_SLACK_GAIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,13 @@ def window_samples(window, stride, delay, dt):
     return w, step, d
 
 
+def window_starts(n, w, step, d) -> range:
+    """Sync window starts i over n samples: every ``step``-th sample from 0
+    whose window [i, i + w] and partner [i + d, i + d + w] lie in [0, n)."""
+    first = -(-max(0, -d) // step) * step
+    return range(first, n - w - max(0, d), step)
+
+
 def sync_series(times, f, g, window, stride, delay: float = 0.0) -> SyncSeries:
     """Sliding-window Pearson correlation of f(t) against g(t + delay).
 
@@ -90,15 +99,14 @@ def sync_series(times, f, g, window, stride, delay: float = 0.0) -> SyncSeries:
     w, step, d = window_samples(window, stride, delay, uniform_step(times))
     n = w + 1
     starts, values = [], []
-    for i in range(0, times.size - w, step):
+    for i in window_starts(times.size, w, step, d):
         j = i + d
-        if j >= 0 and j + w < g.size:
-            df = f[i : i + n] - f[i : i + n].mean()
-            dg = g[j : j + n] - g[j : j + n].mean()
-            sff, sgg = float(df @ df), float(dg @ dg)
-            starts.append(times[i])
-            degenerate = sff / n < _VAR_FLOOR or sgg / n < _VAR_FLOOR
-            values.append(math.nan if degenerate else float(df @ dg / math.sqrt(sff * sgg)))
+        df = f[i : i + n] - f[i : i + n].mean()
+        dg = g[j : j + n] - g[j : j + n].mean()
+        sff, sgg = float(df @ df), float(dg @ dg)
+        starts.append(times[i])
+        degenerate = sff / n < _VAR_FLOOR or sgg / n < _VAR_FLOOR
+        values.append(math.nan if degenerate else float(df @ dg / math.sqrt(sff * sgg)))
     return SyncSeries(np.array(starts), np.array(values))
 
 
@@ -114,30 +122,36 @@ def symplectic_spectrum(cov) -> np.ndarray:
     return np.sort(np.abs(ev))[::2]
 
 
-def _nu_entropy(nus) -> np.ndarray:
+def _nu_slack(covs) -> np.ndarray:
+    """The round-off slack about 1/2 of each covariance in ``covs``."""
+    peak = np.abs(covs).max(axis=(-2, -1))
+    return _NU_SLACK + _NU_SLACK_GAIN * np.finfo(float).eps * peak * peak
+
+
+def _nu_entropy(nus, slack) -> np.ndarray:
     """Entropy (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2) of each
     symplectic eigenvalue; one below the vacuum floor 1/2 (1e-6 slack)
-    raises NonPhysical, and one below 1/2 + _NU_SLACK is read as 1/2,
+    raises NonPhysical, and one below 1/2 + ``slack`` is read as 1/2,
     whose entropy is exactly 0."""
     nus = np.asarray(nus, dtype=float)
     if np.any(nus < 0.5 - 1e-6):
         raise NonPhysical(f"symplectic eigenvalue {nus.min():.9f} below the vacuum floor 1/2")
-    nus = np.where(nus < 0.5 + _NU_SLACK, 0.5, nus)
+    nus = np.where(nus < 0.5 + slack, 0.5, nus)
     plus = nus + 0.5
     minus = nus - 0.5
     safe = np.where(minus > 0, minus, 1.0)  # (nu - 1/2) ln(nu - 1/2) -> 0 at nu = 1/2
     return plus * np.log(plus) - minus * np.log(safe)
 
 
-def _negativity(nu_min):
+def _negativity(nu_min, slack):
     """-ln 2 nu_min for the smallest symplectic eigenvalue of a partial
-    transpose, read as 0 from 1/2 - _NU_SLACK up."""
-    return np.where(nu_min < 0.5 - _NU_SLACK, -np.log(2.0 * nu_min), 0.0)
+    transpose, read as 0 from 1/2 - ``slack`` up."""
+    return np.where(nu_min < 0.5 - slack, -np.log(2.0 * nu_min), 0.0)
 
 
 def vn_entropy(cov) -> float:
     """Von Neumann entropy of a Gaussian state from its covariance."""
-    return float(np.sum(_nu_entropy(symplectic_spectrum(cov))))
+    return float(np.sum(_nu_entropy(symplectic_spectrum(cov), _nu_slack(cov))))
 
 
 def mutual_information(cov) -> float:
@@ -157,14 +171,14 @@ def log_negativity(cov) -> float:
     Partial transposition flips the sign of the second momentum; the
     entanglement is E = -ln 2 nu_min with nu_min the smallest symplectic
     eigenvalue of the transformed covariance (vacuum at 1/2), read as 0
-    from nu_min = 1/2 - _NU_SLACK up.
+    from nu_min = 1/2 - slack up (``_nu_slack``).
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (4, 4):
         raise ValueError("log negativity expects a two-mode (4x4) covariance")
     P = np.diag([1.0, 1.0, 1.0, -1.0])
     nus = symplectic_spectrum(P @ cov @ P)
-    return float(_negativity(nus[0]))
+    return float(_negativity(nus[0], _nu_slack(cov)))
 
 
 @dataclass(frozen=True)
@@ -216,12 +230,13 @@ def correlation_report(times, covs) -> CorrelationReport:
     det_b = covs[:, 1, 1] * covs[:, 3, 3] - covs[:, 1, 3] * covs[:, 3, 1]
     det_c = covs[:, 0, 1] * covs[:, 2, 3] - covs[:, 0, 3] * covs[:, 2, 1]
     det = np.linalg.det(covs)
-    S1 = _nu_entropy(np.sqrt(np.clip(det_a, 0.0, None)))
-    S2 = _nu_entropy(np.sqrt(np.clip(det_b, 0.0, None)))
+    slack = _nu_slack(covs)
+    S1 = _nu_entropy(np.sqrt(np.clip(det_a, 0.0, None)), slack)
+    S2 = _nu_entropy(np.sqrt(np.clip(det_b, 0.0, None)), slack)
     nu_plus, nu_minus = _two_mode_spectrum(covs, det_a + det_b + 2 * det_c, det)
-    S12 = _nu_entropy(nu_plus) + _nu_entropy(nu_minus)
+    S12 = _nu_entropy(nu_plus, slack) + _nu_entropy(nu_minus, slack)
     flip = np.array([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
     _, nu_pt = _two_mode_spectrum(covs * np.outer(flip, flip), det_a + det_b - 2 * det_c, det)
-    E = _negativity(nu_pt)
+    E = _negativity(nu_pt, slack)
     # subadditivity: S12 <= S1 + S2, so a negative MI is round-off
     return CorrelationReport(times, E, np.maximum(0.0, S1 + S2 - S12), S1, S2, S12)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, RangeError, UnknownKey
+from .errors import ChainSyncError, ConfigError, ParseError, RangeError, UnknownKey
 from .lattice import (
     DEFAULT_STABILITY_TOL,
     NetworkConfig,
@@ -33,6 +32,7 @@ from .measures import (
     correlation_report,
     sync_series,
     window_samples,
+    window_starts,
 )
 from .modes import (
     RayleighReport,
@@ -54,10 +54,10 @@ MAX_SAMPLES = 1_000_000
 # O, the chain's modes, W^T = B^T O and a ground-state block), 800 MB each at
 # this size; no (2M + 4)^2 array is formed
 MAX_SITES = 10_000
-# squeezing spreads a probe's variances over e^(-2r) .. e^(2r), so a
-# symplectic eigenvalue read off the evolved covariances carries a round-off
-# of about eps e^(4r) of its vacuum value 1/2; the vacuum-floor check of the
-# quantum measures allows 1e-6, so |r| <= ln(1e-6 / eps) / 4, about 5.56
+# squeezing spreads a probe's variances over e^(-2r) .. e^(2r); a symplectic
+# eigenvalue read off them is off its vacuum value 1/2 by up to 2.4 eps
+# max|sigma_ij|^2 ~ eps e^(4r) (measures reads 4 times that as 1/2); the
+# vacuum-floor check allows 1e-6, so |r| <= ln(1e-6 / eps) / 4, about 5.56
 MAX_SQUEEZE = math.log(1e-6 / np.finfo(float).eps) / 4
 # a Pearson window multiplies two sums of squares of n <= MAX_SAMPLES + 1
 # deviations, each at most twice the amplitude A of the signal:
@@ -320,10 +320,7 @@ def resolve_spec(preset: str | None, overrides: dict | None = None) -> ScenarioS
             w, step, d = window_samples(window, stride, delay, values[key])
         except ValueError as exc:
             raise RangeError(f"{exc} ({key})") from None
-        # the first window start on the stride grid whose delayed partner
-        # starts at or after t = 0; both must end inside the horizon
-        first = -(-max(0, -d) // step) * step
-        if first + max(0, d) + w > round(values["horizon"] / values[key]):
+        if not window_starts(round(values["horizon"] / values[key]) + 1, w, step, d):
             raise RangeError(f"delay {delay} and window {window} leave no window "
                              f"inside the horizon {values['horizon']} ({key})")
     if values["squeeze_axis"] not in ("position", "momentum"):
@@ -414,46 +411,46 @@ class RunRecord:
     summary: dict
 
 
-def _prepare(spec: ScenarioSpec):
-    """The trajectory engine of a scenario, its mean-sample grid, the
-    chain frequencies and the probe normal modes.
-
-    The chain is diagonalized once, for the initial state and the modes.
-    The engine gets the initial state as a ``ProductState``: the site
-    mean, the chain's M x M modes O_chain by reference, and the covariance
-    in the basis diag(I_2, O_chain) as three diagonals, so no dense 2N x 2N
-    covariance is formed.  O_chain lives until the engine's first
-    covariance read, which forms W^T = B^T O from it and releases it; a
-    sweep site, which reads means only, never reads it.
-    """
-    cfg, probes, ini = spec.network, spec.probes, spec.initial
-    qf = assemble_full_potential(cfg, probes)
+def _initial_state(spec: ScenarioSpec):
+    """The chain's ``chain_normal_modes`` pair and the initial
+    ``ProductState``, which holds the chain's modes by reference and no
+    dense covariance.  Neither depends on the probes' sites, so a sweep
+    builds them once; its sites read means only and never the modes."""
+    ini = spec.initial
     sign = 1.0 if ini.squeeze_axis == "position" else -1.0
     probe_covs = (
-        squeezed_vacuum_local(probes.omega1, sign * ini.r1),
-        squeezed_vacuum_local(probes.omega2, sign * ini.r2),
+        squeezed_vacuum_local(spec.probes.omega1, sign * ini.r1),
+        squeezed_vacuum_local(spec.probes.omega2, sign * ini.r2),
     )
-    chain = chain_normal_modes(cfg)
-    state = product_state(((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, chain)
-    modes = system_modes(probes, chain)
-    engine = NormalModeTrajectory(qf, state)
-    n = int(round(spec.run.horizon / spec.run.dt))
-    return engine, np.arange(n + 1) * spec.run.dt, chain[0], modes
+    chain = chain_normal_modes(spec.network)
+    return chain, product_state(((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, chain)
+
+
+def _site_means(spec: ScenarioSpec, state):
+    """The engine of one plugging of the probes, started in ``state`` (it
+    diagonalizes), its mean grid, the means (X, P) and their sync series."""
+    engine = NormalModeTrajectory(assemble_full_potential(spec.network, spec.probes), state)
+    times = np.arange(int(round(spec.run.horizon / spec.run.dt)) + 1) * spec.run.dt
+    X, P = engine.mean_series(times)
+    meas = spec.measure
+    sm = sync_series(times, X[:, 0], X[:, 1], meas.window, meas.stride, meas.delay)
+    return engine, times, X, P, sm
 
 
 def simulate(spec: ScenarioSpec) -> SimulationData:
     """Run the scenario in memory (no files)."""
-    engine, times, omegas, modes = _prepare(spec)
-    X, P = engine.mean_series(times)
-    R = mode_rotation(modes.theta)
-    Q = X @ R.T
+    chain, state = _initial_state(spec)
+    omegas, modes = chain[0], system_modes(spec.probes, chain)
+    engine, times, X, P, sm = _site_means(spec, state)
+    # the engine alone holds them now; its first covariance read frees them
+    del chain, state
+    Q = X @ mode_rotation(modes.theta).T
 
     n_cov = int(round(spec.run.horizon / spec.run.dt_cov))
     cov_times = np.arange(n_cov + 1) * spec.run.dt_cov
     covs = engine.covariance_series(cov_times)
 
     meas = spec.measure
-    sm = sync_series(times, X[:, 0], X[:, 1], meas.window, meas.stride, meas.delay)
     sv = sync_series(
         cov_times, covs[:, 0, 0], covs[:, 1, 1], meas.window, meas.stride, meas.delay
     )
@@ -621,64 +618,51 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunRecord:
     return _write_outputs(spec, out_dir, files, "record.txt", fields, summary)
 
 
-def _sweep_one(args):
-    """Single sweep point: returns (site, starts, values) or (site, error)."""
-    flat, preset, site = args
-    params = dict(flat)
-    params["site_n"] = site
+def _sweep_one(spec: ScenarioSpec, state, site: int):
+    """One sweep site: ("ok", the sync series of its means), or its
+    ChainSyncError (an unstable form, say) as (status, None)."""
     try:
-        spec = resolve_spec(preset, params)
-        engine, times, _, _ = _prepare(spec)
-        X, _ = engine.mean_series(times)
-        ss = sync_series(
-            times, X[:, 0], X[:, 1],
-            spec.measure.window, spec.measure.stride, spec.measure.delay,
-        )
-        return site, ss.times, ss.values
-    except Exception as exc:  # per-site failures are recorded, not fatal
-        return site, f"{type(exc).__name__}: {exc}"
+        sm = _site_means(replace(spec, probes=replace(spec.probes, site_n=site)), state)[-1]
+    except ChainSyncError as exc:
+        return f"{type(exc).__name__}: {exc}", None
+    return "ok", sm
 
 
 def sweep_plug_site(spec: ScenarioSpec, sites=None, workers: int = 1, out_dir=None) -> RunRecord:
-    """Sweep the second probe's plugging site and write the (site, t, C)
-    grid.
-
-    Sites that fail (for example an unstable configuration) are recorded
-    in sweep_record.txt and skipped; the grid is byte-identical for any
-    worker count.  At most one worker process per site is started.
+    """Sweep the second probe's plugging site over distinct whole
+    ``sites``, one after another from one initial state, and write the
+    (site, t, C) grid.  A site's ChainSyncError is recorded in
+    sweep_record.txt and the site skipped; other errors propagate.
+    ``workers`` must be 1; the record keeps its ``workers = 1`` line.
     """
-    if workers < 1:
-        raise RangeError(f"workers must be >= 1, got {workers}")
+    if workers != 1:
+        raise RangeError(f"workers must be 1 (sweeps run in one process), got {workers}")
     if spec.preset not in ("appB_sweep", "custom"):
         raise ConfigError(
             f"plug-site sweeps expect the appB_sweep or custom preset, got {spec.preset!r}"
         )
     if sites is None:
         sites = range(spec.run.sweep_start, spec.run.sweep_stop + 1, spec.run.sweep_step)
-    sites = [int(s) for s in sites]
+    sites = list(sites)
     for s in sites:
+        if not float(s).is_integer():
+            raise RangeError(f"sweep site {s} is not a whole number")
         if not 1 <= s <= spec.network.M:
             raise RangeError(f"sweep site {s} outside chain range [1, {spec.network.M}]")
+    sites = [int(s) for s in sites]
+    if len(set(sites)) != len(sites):
+        raise RangeError(f"sweep sites repeat: {sites}")
 
-    flat = spec.flat()
-    jobs = [(flat, spec.preset, s) for s in sites]
-    pool_size = min(workers, len(jobs))
-    if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_sweep_one, jobs))
-    else:
-        results = [_sweep_one(job) for job in jobs]
-    results.sort(key=lambda r: r[0])
-
-    statuses = {r[0]: "ok" if len(r) == 3 else r[1] for r in results}
-    ok = [r for r in results if len(r) == 3]
+    _, state = _initial_state(spec)
+    results = {site: _sweep_one(spec, state, site) for site in sites}
+    ok = [(site, sm) for site, (_, sm) in sorted(results.items()) if sm is not None]
     columns = (
-        np.repeat(np.array([site for site, _, _ in ok], dtype=int), [t.size for _, t, _ in ok]),
-        np.concatenate([np.empty(0), *(t for _, t, _ in ok)]),
-        np.concatenate([np.empty(0), *(c for _, _, c in ok)]),
+        np.repeat(np.array([site for site, _ in ok], dtype=int), [sm.times.size for _, sm in ok]),
+        np.concatenate([np.empty(0), *(sm.times for _, sm in ok)]),
+        np.concatenate([np.empty(0), *(sm.values for _, sm in ok)]),
     )
-    fields = [("workers", workers), *((f"site_{site}", statuses[site]) for site in sites)]
-    summary = {"sites": len(sites), "failed_sites": sum(v != "ok" for v in statuses.values())}
+    fields = [("workers", workers), *((f"site_{site}", results[site][0]) for site in sites)]
+    summary = {"sites": len(sites), "failed_sites": len(sites) - len(ok)}
     return _write_outputs(
         spec, out_dir, [("sweep.csv", ("site,t,c", columns))], "sweep_record.txt", fields, summary
     )

@@ -6,9 +6,10 @@
 ``write`` runs each of the 7 presets at M = 60 and horizon 200 (the
 second probe at site 60 on the edge presets), fig4_edges once more with
 a delay of 30 (a whole multiple of dt and dt_cov), fig2 at full scale,
-and the appB plug-site sweep at M = 40 over sites 1, 4, ..., 40, each
-into its own folder of DIR.  chainsync is imported from the path, so the
-same script writes the set of any checkout.
+and the appB plug-site sweep at M = 40 over sites 1, 4, ..., 40, once
+as preset and once at K = 1.1, where sites 1, 4 and 7 are unstable and
+fail, each into its own folder of DIR.  chainsync is imported from the
+path, so the same script writes the set of any checkout.
 
 ``compare`` lists every file that is in one set only or differs between
 the two.  For a CSV it gives each changed column with the number of
@@ -33,6 +34,7 @@ RUN_HORIZON = 200.0
 RUN_DELAY = 30.0
 SWEEP_M = 40
 SWEEP_STEP = 3
+SWEEP_UNSTABLE_K = 1.1
 
 
 def write(out) -> None:
@@ -51,6 +53,9 @@ def write(out) -> None:
     run_scenario(resolve_spec("fig2_dissipation"), out_dir=out / "fig2_full")
     spec = resolve_spec("appB_sweep", {"M": SWEEP_M, "sweep_step": SWEEP_STEP})
     sweep_plug_site(spec, out_dir=out / "appB_sweep_sites")
+    spec = resolve_spec("appB_sweep", {"M": SWEEP_M, "sweep_step": SWEEP_STEP,
+                                       "K": SWEEP_UNSTABLE_K})
+    sweep_plug_site(spec, out_dir=out / "appB_sweep_failing_sites")
 
 
 def _csv(path):

@@ -39,7 +39,7 @@ from chainsync import (
     vn_entropy,
 )
 from chainsync.modes import mode_rotation
-from chainsync.scenarios import _prepare
+from chainsync.scenarios import _initial_state, _site_means
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import dominant_frequency, rk4_reference, symplectic_defect, uncertainty_defect
@@ -286,7 +286,7 @@ def test_criterion_8_plug_site_independence(tmp_path):
         {"M": M, "horizon": 120.0, "window": 10.0, "stride": 2.0,
          "sweep_start": 10, "sweep_stop": 50, "write_quantum": False},
     )
-    record = sweep_plug_site(spec, workers=2, out_dir=tmp_path)
+    record = sweep_plug_site(spec, out_dir=tmp_path)
     assert record.summary["failed_sites"] == 0
 
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
@@ -353,7 +353,7 @@ def test_criterion_9c_uncertainty_preservation(fig2, fig5):
     fig2_spec = resolve_spec("fig2_dissipation", {"write_quantum": False})
     for spec, data in ((fig2_spec, fig2[0]), (FIG5, fig5)):
         # the probe covariances simulate() evolved, from the same engine on the same times
-        covs = _prepare(spec)[0].covariance_series(data.cov_times)
+        covs = _site_means(spec, _initial_state(spec)[1])[0].covariance_series(data.cov_times)
         for cov in covs[:: max(1, covs.shape[0] // 40)]:
             worst = min(worst, uncertainty_defect(cov))
     ok = worst >= -1e-9

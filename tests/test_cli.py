@@ -128,7 +128,6 @@ def test_sweep_cli(tmp_path, capsys):
             "--set", "sweep_start=3",
             "--set", "sweep_stop=5",
             "--out", str(out),
-            "--workers", "2",
         ]
     )
     assert code == 0
@@ -182,39 +181,15 @@ SWEEP = ["sweep", "--set", "preset=appB_sweep", "--set", "M=20", "--set", "horiz
          "--set", "sweep_start=3"]
 
 
-def test_sweep_pool_is_capped_at_the_site_count(tmp_path, monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps here."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", SerialPool)
+# sweeps run in one process: the --workers flag is gone, and any value of
+# it is an unknown argument
+@pytest.mark.parametrize("workers", ["2", "0", "-3"])
+def test_sweep_workers_flag_is_a_usage_error(tmp_path, capsys, workers):
     out = tmp_path / "out"
-    assert main([*SWEEP, "--set", "sweep_stop=5", "--workers", "5000", "--out", str(out)]) == 0
-    assert sizes == [3]
-    assert "workers = 5000" in (out / "sweep_record.txt").read_text()
-    # one site needs no pool at all
-    assert main([*SWEEP, "--set", "sweep_stop=3", "--workers", "5000", "--out", str(out)]) == 0
-    assert sizes == [3]
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_sweep_workers_below_one_exit_2(tmp_path, capsys, workers):
-    out = tmp_path / "out"
-    assert main([*SWEEP, "--workers", workers, "--out", str(out)]) == 2
-    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([*SWEEP, "--workers", workers, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -25,7 +25,7 @@ from chainsync import (
 from chainsync import trajectory
 from chainsync.dynamics import phase_map, product_state, spectrum
 from chainsync.lattice import chain_normal_modes
-from chainsync.scenarios import PRESETS, _prepare, resolve_spec
+from chainsync.scenarios import PRESETS, _initial_state, _site_means, resolve_spec
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import (
@@ -529,7 +529,7 @@ def test_the_run_path_holds_no_dense_initial_covariance():
     N = spec.network.M + 2
     tracemalloc.start()
     try:
-        engine, _, _, _ = _prepare(spec)
+        engine = _site_means(spec, _initial_state(spec)[1])[0]
         covs = engine.covariance_series(np.arange(101) * spec.run.dt_cov)
         _, peak = tracemalloc.get_traced_memory()
     finally:

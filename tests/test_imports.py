@@ -142,3 +142,15 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
         if not any(_passes(call, parameter, slot) for call in calls.get(name, []))
     ]
     assert unpassed == []
+
+
+# sweeps run in the calling process: the package starts no process pool
+def test_the_package_imports_no_process_pool():
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported & {"concurrent", "multiprocessing"} == set()

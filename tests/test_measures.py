@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainsync import (
     NetworkConfig,
@@ -20,8 +22,14 @@ from chainsync import (
     sync_series,
     vn_entropy,
 )
-from chainsync.measures import window_samples
-from chainsync.scenarios import resolve_spec, simulate
+from chainsync.measures import (
+    _nu_entropy,
+    _nu_slack,
+    _two_mode_spectrum,
+    window_samples,
+    window_starts,
+)
+from chainsync.scenarios import _initial_state, _site_means, resolve_spec, simulate
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import correlation_loop, dominant_frequency, pearson_windows, scan_delayed_sync
@@ -34,6 +42,13 @@ def tms_covariance(r):
     cov[0, 1] = cov[1, 0] = 0.5 * sh
     cov[2, 3] = cov[3, 2] = -0.5 * sh
     return cov
+
+
+def simulate_covariances(spec, times):
+    """Probe covariances of a scenario run at ``times``, from the run's
+    own engine."""
+    engine = _site_means(spec, _initial_state(spec)[1])[0]
+    return engine.covariance_series(np.asarray(times, dtype=float))
 
 
 def squeezed_product(r1, r2, w1=1.0, w2=1.2):
@@ -236,6 +251,11 @@ def test_vn_entropy_values():
     # and so is one within the 1e-13 round-off slack above it
     assert vn_entropy(np.diag([0.5 + 9e-14, 0.5 + 9e-14])) == 0.0
     assert vn_entropy(np.diag([0.5 + 2e-13, 0.5 + 2e-13])) > 0.0
+    # a squeezed covariance widens the slack by 4 eps max|sigma_ij|^2, to
+    # 1.1e-7 for a squeezed vacuum with entries up to e^10 / 2 (r = 5)
+    sq = np.diag([math.exp(-10.0) / 2, math.exp(10.0) / 2])
+    assert vn_entropy(sq * (1.0 + 2e-8)) == 0.0
+    assert vn_entropy(sq * (1.0 + 4e-7)) > 0.0
     # additivity on product covariances
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -377,6 +397,42 @@ def test_fig6_entropies_and_mutual_information_are_never_negative():
 def test_product_state_rows_read_no_correlation(preset, overrides):
     rep = simulate(resolve_spec(preset, overrides)).quantum
     assert [rep.E[0], rep.MI[0], rep.S1[0], rep.S2[0], rep.S12[0]] == [0.0] * 5
+
+
+# squeezing beyond the presets' |r| = 2: round-off of about eps
+# max|sigma_ij|^2 used to put E(0) = 2.9e-13 (r = 2.5) to 1.2e-10 (r = 5.5)
+# on fig6 and MI(0) = 9.6e-13 (r = 3) to 2.0e-11 (r = 5.5) on fig5
+@pytest.mark.parametrize("preset, site_n, r", [
+    *(("fig6_mi_edges", 60, r) for r in (2.5, 3.0, 4.0, 5.5)),
+    *(("fig5_entanglement_common", 1, r) for r in (3.0, 4.0, 5.5)),
+])
+def test_squeezed_product_state_rows_read_no_correlation(preset, site_n, r):
+    overrides = {"M": 60, "horizon": 20.0, "site_n": site_n, "r1": r, "r2": r}
+    rep = simulate(resolve_spec(preset, overrides)).quantum
+    assert [rep.E[0], rep.MI[0], rep.S1[0], rep.S2[0], rep.S12[0]] == [0.0] * 5
+
+
+def test_the_slack_keeps_the_nearest_true_departure():
+    # appB_sweep's joint nu_minus departs from the vacuum by 2.7e-13 at
+    # t = 0.2 (one dt_cov), above its slack of 1.0e-13, and adds its
+    # entropy to S12
+    spec = resolve_spec("appB_sweep", {"M": 60, "horizon": 20.0})
+    covs = simulate_covariances(spec, [0.2])
+    d = [covs[:, 0, 0] * covs[:, 2, 2] - covs[:, 0, 2] ** 2,
+         covs[:, 1, 1] * covs[:, 3, 3] - covs[:, 1, 3] ** 2,
+         covs[:, 0, 1] * covs[:, 2, 3] - covs[:, 0, 3] * covs[:, 2, 1]]
+    nu_plus, nu_minus = _two_mode_spectrum(covs, d[0] + d[1] + 2 * d[2], np.linalg.det(covs))
+    slack = _nu_slack(covs)
+    assert 2.6e-13 < nu_minus[0] - 0.5 < 2.8e-13 and slack[0] < 1.01e-13
+    assert _nu_entropy(nu_minus, slack)[0] > 0.0
+    rep = correlation_report([0.2], covs)
+    assert rep.S12[0] == (_nu_entropy(nu_plus, slack) + _nu_entropy(nu_minus, slack))[0]
+
+
+@given(st.integers(0, 120), st.integers(0, 40), st.integers(1, 15), st.integers(-60, 60))
+def test_window_starts_match_brute_force(n, w, step, d):
+    brute = [i for i in range(0, n, step) if i + w < n and 0 <= i + d and i + d + w < n]
+    assert list(window_starts(n, w, step, d)) == brute
 
 
 def test_correlation_report_rejects_subvacuum():

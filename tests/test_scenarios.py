@@ -424,11 +424,85 @@ def test_sweep_single_site_matches_run(tmp_path):
     assert np.allclose(got_c, expected.values, rtol=1e-12)
 
 
-def test_sweep_worker_invariance(tmp_path):
+def test_sweep_rows_equal_simulate_bit_for_bit(tmp_path):
+    # every site of one sweep, from the shared initial state, against a
+    # scenario run of that site on its own
     spec = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0})
-    sweep_plug_site(spec, sites=range(3, 9), workers=1, out_dir=tmp_path / "w1")
-    sweep_plug_site(spec, sites=range(3, 9), workers=3, out_dir=tmp_path / "w3")
-    assert (tmp_path / "w1" / "sweep.csv").read_bytes() == (tmp_path / "w3" / "sweep.csv").read_bytes()
+    sweep_plug_site(spec, sites=range(3, 9), out_dir=tmp_path)
+    _, state = scenarios._initial_state(spec)
+    rows = []
+    for site in range(3, 9):
+        ss = simulate(resolve_spec("appB_sweep", dict(spec.flat(), site_n=site))).sync_means
+        status, got = scenarios._sweep_one(spec, state, site)
+        assert status == "ok"
+        assert got.times.tobytes() == ss.times.tobytes()
+        assert got.values.tobytes() == ss.values.tobytes()
+        rows.append((site, ss.times, ss.values))
+    assert (tmp_path / "sweep.csv").read_text() == sweep_csv_text(rows)
+
+
+def test_a_sweep_builds_the_chain_and_initial_state_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("chain_normal_modes", "product_state"):
+        monkeypatch.setattr(scenarios, name, counted(getattr(scenarios, name)))
+
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("a sweep site resolved the spec again")
+
+    spec = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0})
+    monkeypatch.setattr(scenarios, "resolve_spec", no_resolve)
+    for sites in ([4], range(1, 25, 3)):
+        calls.clear()
+        record = sweep_plug_site(spec, sites=sites, out_dir=tmp_path)
+        assert record.summary["failed_sites"] == 0
+        assert calls == ["chain_normal_modes", "product_state"]
+
+
+def test_a_program_error_inside_a_site_propagates(tmp_path, monkeypatch):
+    # only a ChainSyncError is a site's status; anything else is a bug
+    real = scenarios.assemble_full_potential
+
+    def broken(network, probes):
+        if probes.site_n == 5:
+            raise ZeroDivisionError("site 5")
+        return real(network, probes)
+
+    monkeypatch.setattr(scenarios, "assemble_full_potential", broken)
+    spec = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0})
+    with pytest.raises(ZeroDivisionError, match="site 5"):
+        sweep_plug_site(spec, sites=[3, 5, 7], out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sites, message", [
+    ([3.7], "sweep site 3.7 is not a whole number"),
+    ([2, float("nan")], "sweep site nan is not a whole number"),
+    ([5, 5], r"sweep sites repeat: \[5, 5\]"),
+    ([3, 4.0, 4], r"sweep sites repeat: \[3, 4, 4\]"),
+])
+def test_sweep_rejects_fractional_and_repeated_sites(tmp_path, sites, message):
+    spec = resolve_spec("appB_sweep", {"M": 20, "horizon": 40.0})
+    with pytest.raises(RangeError, match=message):
+        sweep_plug_site(spec, sites=sites, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [2, 0])
+def test_sweep_runs_in_one_process_only(tmp_path, workers):
+    spec = resolve_spec("appB_sweep", {"M": 20, "horizon": 40.0})
+    with pytest.raises(RangeError, match="sweeps run in one process"):
+        sweep_plug_site(spec, sites=[3], workers=workers, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    sweep_plug_site(spec, sites=[3], workers=1, out_dir=tmp_path / "out")
+    assert "workers = 1\nsite_3 = ok\n" in (tmp_path / "out" / "sweep_record.txt").read_text()
 
 
 def test_sweep_records_failures_and_continues(tmp_path):
