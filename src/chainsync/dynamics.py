@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, UncertaintyViolation
-from .lattice import DEFAULT_STABILITY_TOL, QuadraticForm, chain_normal_modes
+from .lattice import DEFAULT_STABILITY_TOL, NetworkConfig, QuadraticForm, chain_normal_modes
 
 # time rows per block of ``phasor_sum_blocks``: one exact start phasor and
 # one slice of the cached table exp(i nu k h) per block
@@ -149,15 +149,16 @@ class ProductState:
     covariance of ``initial_composite_state``.
 
     ``mean`` is in site coordinates (B leaves the probes alone and the
-    chain is at rest).  ``chain_modes`` is O_chain, held by reference.  The
+    chain is at rest).  ``network`` is the chain's NetworkConfig, from
+    which ``chain_normal_modes`` gives O_chain when it is needed.  The
     covariance C = B^T Sigma0 B has diagonal blocks: ``var_x`` is the
     probes' x variances then 1/(2 Omega_j), ``var_p`` the probes' p
     variances then Omega_j / 2, and ``cov_xp`` the probes' x-p
-    covariances then zeros.
+    covariances then zeros.  So the state is O(N) vectors and a config.
     """
 
     mean: np.ndarray
-    chain_modes: np.ndarray
+    network: NetworkConfig
     var_x: np.ndarray
     var_p: np.ndarray
     cov_xp: np.ndarray
@@ -167,9 +168,9 @@ class ProductState:
         return self.mean.size // 2
 
 
-def product_state(probe_means, probe_covs, chain) -> ProductState:
-    """Product state: two local probe states and the chain vacuum, for the
-    chain's ``chain_normal_modes`` pair ``chain``, in O(M) beyond the modes.
+def product_state(probe_means, probe_covs, network: NetworkConfig) -> ProductState:
+    """Product state: two local probe states and the vacuum of the chain
+    ``network``, in O(M) beyond the chain's frequencies.
 
     ``probe_means`` is ((x1, p1), (x2, p2)); ``probe_covs`` two symmetric
     2x2 covariances in local (x, p) ordering, each positive definite with
@@ -177,7 +178,7 @@ def product_state(probe_means, probe_covs, chain) -> ProductState:
     mean in its T = 0 state, uncorrelated in x-p.
     """
     covs = _probe_covariances(probe_covs)
-    omegas, O = chain
+    omegas, _ = chain_normal_modes(network, ())
     N = omegas.size + 2
     mean = np.zeros(2 * N)
     (x1, p1), (x2, p2) = probe_means
@@ -188,16 +189,15 @@ def product_state(probe_means, probe_covs, chain) -> ProductState:
         var_x[i], var_p[i], cov_xp[i] = c[0, 0], c[1, 1], c[0, 1]
     var_x[2:] = 0.5 / omegas
     var_p[2:] = 0.5 * omegas
-    return ProductState(mean, O, var_x, var_p, cov_xp)
+    return ProductState(mean, network, var_x, var_p, cov_xp)
 
 
-def initial_composite_state(probe_means, probe_covs, cfg) -> GaussianState:
+def initial_composite_state(probe_means, probe_covs, cfg: NetworkConfig) -> GaussianState:
     """``product_state`` with its dense covariance in site coordinates:
     sigma_xx = O diag(1/(2 Omega_j)) O^T and sigma_pp = O diag(Omega_j/2)
-    O^T on the chain, with O the chain's modes.  ``cfg`` is the
-    NetworkConfig or its ``chain_normal_modes``."""
-    omegas, O = chain = chain_normal_modes(cfg)
-    state = product_state(probe_means, probe_covs, chain)
+    O^T on the chain, with O the modes of the chain ``cfg``."""
+    state = product_state(probe_means, probe_covs, cfg)
+    omegas, O = chain_normal_modes(cfg)
     N = state.n_modes
     cov = np.zeros((2 * N, 2 * N))
     for i in range(2):
@@ -282,7 +282,8 @@ def phase_map(rows, nu, z):
     """
     k, N = rows.shape
     out = np.empty(z.shape[:-1] + (2 * k, 2 * N))
-    # written in place: series call this per block, where temporaries add to peak memory
+    # written in place: ``propagator`` asks for all N rows and ``state_at``
+    # for one tile of rows at a time, and temporaries would add to their peak
     np.multiply(z.real[..., None, :], rows, out=out[..., :k, :N])
     np.multiply((z.imag / nu)[..., None, :], rows, out=out[..., :k, N:])
     np.multiply(-(nu * z.imag)[..., None, :], rows, out=out[..., k:, :N])

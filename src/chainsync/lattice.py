@@ -14,6 +14,7 @@ diagonalized by the orthogonal sine transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,16 @@ class NetworkConfig:
                 raise ValueError("coupling_matrix entries must be non-negative")
             object.__setattr__(self, "coupling_matrix", A)
 
+    @cached_property
+    def _eigenmodes(self):
+        """(omegas, O) of a custom network from one ``eigh``, formed on
+        first use and kept for the config's lifetime; O is read-only."""
+        evals, O = np.linalg.eigh(build_chain_potential(self))
+        if np.any(evals < -_ZERO_TOL):
+            raise ZeroModeError("custom network potential is not positive semidefinite")
+        O.setflags(write=False)
+        return np.sqrt(np.clip(evals, 0.0, None)), O
+
 
 @dataclass(frozen=True)
 class ProbePair:
@@ -87,8 +98,8 @@ class ProbePair:
 
     def validate_sites(self, M: int):
         for name, site in (("site_m", self.site_m), ("site_n", self.site_n)):
-            if not 1 <= site <= M:
-                raise ValueError(f"{name}={site} outside chain range [1, {M}]")
+            if site % 1 != 0 or not 1 <= site <= M:
+                raise ValueError(f"{name}={site} is not a whole number in [1, {M}]")
 
 
 @dataclass(frozen=True)
@@ -135,36 +146,29 @@ def chain_normal_modes(cfg: NetworkConfig | int, sites=None):
     """Chain frequencies and the orthogonal matrix of mode vectors.
 
     Returns ``(omegas, O)`` with ``V_chain = O diag(omegas^2) O^T`` and
-    columns ordered by ascending frequency.  With ``sites`` (1-based), O
-    holds only the rows of those sites.  The homogeneous chain has the
-    sine modes O_kj = sqrt(2/(M+1)) sin(pi k j / (M+1)), O(M) per row; a
-    custom network takes its rows from one ``eigh``.  A bare site count M
-    stands for the homogeneous chain, whose modes do not depend on
-    Omega_0 or g; ``omegas`` is then None.  The ``(omegas, O)`` returned
-    for a whole chain may stand for it too: its rows are then picked
-    without diagonalizing again.
+    columns ordered by ascending frequency.  With ``sites`` (whole numbers,
+    1-based), O holds only the rows of those sites, so ``sites=()`` gives
+    the frequencies alone.  The homogeneous chain has the sine modes O_kj =
+    sqrt(2/(M+1)) sin(pi k j / (M+1)), O(M) per row; a custom network
+    takes its rows from one ``eigh``, kept on its config.  A bare site
+    count M stands for the homogeneous chain, whose modes do not depend on
+    Omega_0 or g, and ``omegas`` is then None: it serves the benchmark
+    harness in ``perfbench/``, which passes ``spec.network.M``.
     """
-    held = isinstance(cfg, tuple)
-    bare = not held and not isinstance(cfg, NetworkConfig)
-    M = cfg[1].shape[0] if held else int(cfg) if bare else cfg.M
+    bare = not isinstance(cfg, NetworkConfig)
+    M = int(cfg) if bare else cfg.M
     j = np.arange(1, M + 1)
-    rows = j if sites is None else np.asarray(sites, dtype=int)
-    if np.any((rows < 1) | (rows > M)):
-        raise ValueError(f"chain sites {rows.tolist()} outside [1, {M}]")
-    if held:
-        omegas, O = cfg
-        return omegas, O if sites is None else O[rows - 1]
+    rows = j if sites is None else np.asarray(sites)
+    if np.any((rows < 1) | (rows > M) | (rows % 1 != 0)):
+        raise ValueError(f"chain sites {rows.tolist()} are not whole numbers in [1, {M}]")
     if bare or cfg.coupling_matrix is None:
         O = np.sqrt(2.0 / (M + 1)) * np.sin(np.pi * np.outer(rows, j) / (M + 1))
         if bare:
             return None, O
         omegas = chain_dispersion(cfg)
     else:
-        evals, O = np.linalg.eigh(build_chain_potential(cfg))
-        if np.any(evals < -_ZERO_TOL):
-            raise ZeroModeError("custom network potential is not positive semidefinite")
-        omegas = np.sqrt(np.clip(evals, 0.0, None))
-        O = O[rows - 1]
+        omegas, O = cfg._eigenmodes
+        O = O if sites is None else O[rows.astype(int) - 1]
     if np.any(omegas <= _ZERO_TOL):
         raise ZeroModeError(
             f"chain has a zero-frequency mode (min Omega = {omegas.min():.3e})"

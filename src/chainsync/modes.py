@@ -74,13 +74,13 @@ class SystemModes:
     c2: np.ndarray
 
 
-def system_modes(probes: ProbePair, network) -> SystemModes:
-    """Assemble the full normal-mode description for a probe pair on a
-    ``network``: a NetworkConfig, its ``chain_normal_modes`` or, for the
-    homogeneous chain of that many sites, an int.  The per-mode couplings
-    (c1, c2) of the probe normal modes to the chain modes are the site
-    couplings K [O[site_m - 1]; sign2 O[site_n - 1]] of the chain's modes
-    O, rotated by theta."""
+def system_modes(probes: ProbePair, network: NetworkConfig | int) -> SystemModes:
+    """Assemble the full normal-mode description for a probe pair on the
+    chain ``network``.  The per-mode couplings (c1, c2) of the probe normal
+    modes to the chain modes are the site couplings K [O[site_m - 1];
+    sign2 O[site_n - 1]] of the chain's modes O, rotated by theta.  An int
+    M stands for the homogeneous chain of M sites only for the benchmark
+    harness in ``perfbench/``, which passes ``spec.network.M``."""
     theta = system_mode_angle(probes.omega1, probes.omega2, probes.lam)
     L1, L2 = system_eigenfrequencies(probes.omega1, probes.omega2, probes.lam)
     _, O = chain_normal_modes(network, (probes.site_m, probes.site_n))
@@ -166,9 +166,9 @@ def ohmic_gap_ratio(theta: float) -> float:
 _SYNC_GAP_FRACTION = 0.5
 
 
-def chain_rayleigh_report(cfg: NetworkConfig, modes: SystemModes, chain_freqs) -> RayleighReport:
+def chain_rayleigh_report(cfg: NetworkConfig, modes: SystemModes) -> RayleighReport:
     """Rayleigh prediction for a probe pair with normal modes ``modes``
-    plugged into the chain ``cfg`` of frequencies ``chain_freqs``.
+    plugged into the chain ``cfg``.
 
     The time-local damping matrix is the Markovian plateau of the
     normal-mode kernels K_st(s) = sum_j c_s(j) c_t(j) cos(Omega_j s) /
@@ -196,6 +196,7 @@ def chain_rayleigh_report(cfg: NetworkConfig, modes: SystemModes, chain_freqs) -
     synchronization, on the time scale tau_S set by the inverse of the
     larger damping.
     """
+    chain_freqs, _ = chain_normal_modes(cfg, ())
     tau_r = revival_time(cfg)
     t_lo, t_hi = min(10.0, 0.25 * tau_r), 0.5 * tau_r
     f = 0.5 * (modes.Lambda1 + modes.Lambda2)

@@ -22,7 +22,6 @@ from .lattice import (
     NetworkConfig,
     ProbePair,
     assemble_full_potential,
-    chain_normal_modes,
     max_group_velocity,
     revival_time,
 )
@@ -51,8 +50,8 @@ SECTIONS = ("network", "probes", "initial", "measure", "run")
 # samples of the longest preset; a run's arrays grow linearly with it
 MAX_SAMPLES = 1_000_000
 # ceiling on M: a run holds a few dense (M + 2)^2 arrays at once (V, the modes
-# O, the chain's modes, W^T = B^T O and a ground-state block), 800 MB each at
-# this size; no (2M + 4)^2 array is formed
+# O, W^T = B^T O and a ground-state block), 800 MB each at this size; no
+# (2M + 4)^2 array is formed
 MAX_SITES = 10_000
 # squeezing spreads a probe's variances over e^(-2r) .. e^(2r); a symplectic
 # eigenvalue read off them is off its vacuum value 1/2 by up to 2.4 eps
@@ -412,18 +411,16 @@ class RunRecord:
 
 
 def _initial_state(spec: ScenarioSpec):
-    """The chain's ``chain_normal_modes`` pair and the initial
-    ``ProductState``, which holds the chain's modes by reference and no
-    dense covariance.  Neither depends on the probes' sites, so a sweep
-    builds them once; its sites read means only and never the modes."""
+    """The initial ``ProductState``: O(N) vectors and the network's
+    config, with no dense covariance and no chain modes.  It does not
+    depend on the probes' sites, so a sweep builds it once."""
     ini = spec.initial
     sign = 1.0 if ini.squeeze_axis == "position" else -1.0
     probe_covs = (
         squeezed_vacuum_local(spec.probes.omega1, sign * ini.r1),
         squeezed_vacuum_local(spec.probes.omega2, sign * ini.r2),
     )
-    chain = chain_normal_modes(spec.network)
-    return chain, product_state(((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, chain)
+    return product_state(((ini.x1, ini.p1), (ini.x2, ini.p2)), probe_covs, spec.network)
 
 
 def _site_means(spec: ScenarioSpec, state):
@@ -439,11 +436,8 @@ def _site_means(spec: ScenarioSpec, state):
 
 def simulate(spec: ScenarioSpec) -> SimulationData:
     """Run the scenario in memory (no files)."""
-    chain, state = _initial_state(spec)
-    omegas, modes = chain[0], system_modes(spec.probes, chain)
-    engine, times, X, P, sm = _site_means(spec, state)
-    # the engine alone holds them now; its first covariance read frees them
-    del chain, state
+    modes = system_modes(spec.probes, spec.network)
+    engine, times, X, P, sm = _site_means(spec, _initial_state(spec))
     Q = X @ mode_rotation(modes.theta).T
 
     n_cov = int(round(spec.run.horizon / spec.run.dt_cov))
@@ -455,7 +449,7 @@ def simulate(spec: ScenarioSpec) -> SimulationData:
         cov_times, covs[:, 0, 0], covs[:, 1, 1], meas.window, meas.stride, meas.delay
     )
     quantum = correlation_report(cov_times, covs) if spec.run.write_quantum else None
-    rayleigh = chain_rayleigh_report(spec.network, modes, omegas)
+    rayleigh = chain_rayleigh_report(spec.network, modes)
     return SimulationData(
         times=times,
         x1=X[:, 0], x2=X[:, 1], p1=P[:, 0], p2=P[:, 1],
@@ -653,7 +647,7 @@ def sweep_plug_site(spec: ScenarioSpec, sites=None, workers: int = 1, out_dir=No
     if len(set(sites)) != len(sites):
         raise RangeError(f"sweep sites repeat: {sites}")
 
-    _, state = _initial_state(spec)
+    state = _initial_state(spec)
     results = {site: _sweep_one(spec, state, site) for site in sites}
     ok = [(site, sm) for site, (_, sm) in sorted(results.items()) if sm is not None]
     columns = (

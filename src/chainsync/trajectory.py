@@ -27,7 +27,8 @@ basis B (site coordinates s = B l), where its covariance C = B^T Sigma0 B
 is given, through W^T U with W^T = B^T O: O(N^2 r) plus the two
 symmetric rank-N updates of the ground state (W^T sqrt(g))(W^T sqrt(g))^T.
 A ``dynamics.ProductState`` has B = diag(I_2, O_chain) and a diagonal C,
-so Sigma0 is never formed, and W^T costs one chain-sized product; a
+so Sigma0 is never formed, and W^T costs one chain-sized product, with
+O_chain formed from the state's network for that product alone; a
 ``GaussianState`` has B = I, C = Sigma0 and W^T = O.  A reader of means
 alone never touches B or C.
 The covariances are then the constant probe block of Sigma_g plus
@@ -50,7 +51,7 @@ import numpy as np
 from .dynamics import (
     GaussianState, ProductState, phase_map, phasor_sum_blocks, phasor_sums, spectrum, symmetrize
 )
-from .lattice import QuadraticForm
+from .lattice import QuadraticForm, chain_normal_modes
 
 # shifts s^2 of the resolvent basis.  Delta's x and p blocks are
 # differences of V^{-1/2} and V^{1/2} at two forms that differ on the probe
@@ -83,11 +84,11 @@ class NormalModeTrajectory:
     quadratic form.
 
     ``state`` is a ``GaussianState`` or a ``dynamics.ProductState``.  Its
-    mean is read when the engine is built.  The state itself, with its
-    covariance C and, for a ProductState, its chain modes B, is kept by
-    reference until the first covariance read (``covariance_series``,
-    ``covariance_basis`` or ``state_at``), which reads it once and
-    releases it; it must not change in place before then."""
+    mean is read when the engine is built, and its covariance C on the
+    first covariance read (``covariance_series``, ``covariance_basis`` or
+    ``state_at``); it is kept by reference and must not change in place.
+    A ProductState is O(N) vectors and its network's config, so the chain
+    modes of its basis B exist only during that first read."""
 
     def __init__(self, qf: QuadraticForm, state: GaussianState | ProductState):
         if state.n_modes != qf.dim:
@@ -98,7 +99,6 @@ class NormalModeTrajectory:
         self._sites = np.flatnonzero(np.any(qf.V[:2] != 0.0, axis=0))
         self._y0 = self.O.T @ state.mean[:N]
         self._pi0 = self.O.T @ state.mean[N:]
-        # read on the first covariance read only, by ``_moving_part``
         self._state = state
 
     @property
@@ -147,8 +147,9 @@ class NormalModeTrajectory:
         B, and the x, x-p and p blocks of its covariance C = B^T Sigma0 B,
         a diagonal block given as its diagonal.  A ``ProductState`` has
         B = diag(I_2, O_chain) and diagonal blocks, and W^T costs one
-        (N - 2)^2 by (N - 2) x N product; a ``GaussianState`` has B = I, so
-        W^T is O itself and C is Sigma0."""
+        (N - 2)^2 by (N - 2) x N product, with O_chain formed here from
+        the state's network and dropped on return; a ``GaussianState`` has
+        B = I, so W^T is O itself and C is Sigma0."""
         state, O = self._state, self.O
         N = O.shape[0]
         if isinstance(state, GaussianState):
@@ -156,7 +157,7 @@ class NormalModeTrajectory:
             return O, [cov[:N, :N], cov[:N, N:], cov[N:, N:]]
         Wt = np.empty_like(O)
         Wt[:2] = O[:2]
-        np.matmul(state.chain_modes.T, O[2:], out=Wt[2:])
+        np.matmul(chain_normal_modes(state.network)[1].T, O[2:], out=Wt[2:])
         return Wt, [state.var_x, state.cov_xp, state.var_p]
 
     @cached_property
@@ -166,12 +167,10 @@ class NormalModeTrajectory:
         ``basis`` its dimension 2r; otherwise U is the identity, H = Delta
         and ``basis`` is ``"full"``.  H and the residual are formed in the
         initial state's local basis B through W^T U, W^T = B^T O, so Sigma0
-        is neither formed nor rotated.  The state is read here once and
-        released."""
+        is neither formed nor rotated."""
         nu = self.nu
         N = nu.size
         Wt, C = self._local_moments()
-        self._state = None
         blocks = list(zip(C, (0.5 / nu, None, 0.5 * nu)))
 
         def project(U):

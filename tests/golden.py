@@ -6,10 +6,12 @@
 ``write`` runs each of the 7 presets at M = 60 and horizon 200 (the
 second probe at site 60 on the edge presets), fig4_edges once more with
 a delay of 30 (a whole multiple of dt and dt_cov), fig2 at full scale,
-and the appB plug-site sweep at M = 40 over sites 1, 4, ..., 40, once
-as preset and once at K = 1.1, where sites 1, 4 and 7 are unstable and
-fail, each into its own folder of DIR.  chainsync is imported from the
-path, so the same script writes the set of any checkout.
+the appB plug-site sweep at M = 40 over sites 1, 4, ..., 40, once as
+preset and once at K = 1.1, where sites 1, 4 and 7 are unstable and
+fail, and the custom preset on a seeded random coupling_matrix network of
+12 sites (horizon 60, second probe at site 7), each into its own folder
+of DIR.  chainsync is imported from the path, so the same script writes
+the set of any checkout.
 
 ``compare`` lists every file that is in one set only or differs between
 the two.  For a CSV it gives each changed column with the number of
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +38,13 @@ RUN_DELAY = 30.0
 SWEEP_M = 40
 SWEEP_STEP = 3
 SWEEP_UNSTABLE_K = 1.1
+CUSTOM_M = 12
+CUSTOM_SEED = 4
 
 
 def write(out) -> None:
     """Write the golden set into the folder ``out``."""
-    from chainsync import resolve_spec, run_scenario, sweep_plug_site
+    from chainsync import NetworkConfig, resolve_spec, run_scenario, sweep_plug_site
     from chainsync.scenarios import PRESETS
 
     out = Path(out)
@@ -56,6 +61,12 @@ def write(out) -> None:
     spec = resolve_spec("appB_sweep", {"M": SWEEP_M, "sweep_step": SWEEP_STEP,
                                        "K": SWEEP_UNSTABLE_K})
     sweep_plug_site(spec, out_dir=out / "appB_sweep_failing_sites")
+    rng = np.random.default_rng(CUSTOM_SEED)
+    A = np.triu(rng.uniform(0.0, 1.5, size=(CUSTOM_M, CUSTOM_M))
+                * (rng.random((CUSTOM_M, CUSTOM_M)) < 0.5), 1)
+    network = NetworkConfig(M=CUSTOM_M, omega0=0.4, g=1.2, coupling_matrix=A + A.T)
+    spec = resolve_spec("custom", {"M": CUSTOM_M, "horizon": 60.0, "site_n": 7})
+    run_scenario(replace(spec, network=network), out_dir=out / "custom_network")
 
 
 def _csv(path):

@@ -140,7 +140,7 @@ def test_criterion_3_rayleigh_predictor(fig3_weak):
 
     cfg = NetworkConfig(M=300, omega0=0.4, g=1.2)
     modes = system_modes(ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=1), cfg)
-    fig2_ray = chain_rayleigh_report(cfg, modes, chain_normal_modes(cfg)[0])
+    fig2_ray = chain_rayleigh_report(cfg, modes)
     ok_predict = fig2_ray.predicts_sync
 
     weak = fig3_weak
@@ -353,7 +353,7 @@ def test_criterion_9c_uncertainty_preservation(fig2, fig5):
     fig2_spec = resolve_spec("fig2_dissipation", {"write_quantum": False})
     for spec, data in ((fig2_spec, fig2[0]), (FIG5, fig5)):
         # the probe covariances simulate() evolved, from the same engine on the same times
-        covs = _site_means(spec, _initial_state(spec)[1])[0].covariance_series(data.cov_times)
+        covs = _site_means(spec, _initial_state(spec))[0].covariance_series(data.cov_times)
         for cov in covs[:: max(1, covs.shape[0] // 40)]:
             worst = min(worst, uncertainty_defect(cov))
     ok = worst >= -1e-9

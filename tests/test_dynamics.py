@@ -25,7 +25,7 @@ from chainsync import (
 from chainsync import trajectory
 from chainsync.dynamics import phase_map, product_state, spectrum
 from chainsync.lattice import chain_normal_modes
-from chainsync.scenarios import PRESETS, _initial_state, _site_means, resolve_spec
+from chainsync.scenarios import PRESETS, _initial_state, _site_means, resolve_spec, simulate
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import (
@@ -222,9 +222,7 @@ def test_vacuum_product_state_is_stationary_when_decoupled():
 # the dense site-basis state and the run path's chain-basis product state
 BUILDERS = {
     "site": lambda covs, cfg: initial_composite_state(((0.0, 0.0), (0.0, 0.0)), covs, cfg),
-    "product": lambda covs, cfg: product_state(
-        ((0.0, 0.0), (0.0, 0.0)), covs, chain_normal_modes(cfg)
-    ),
+    "product": lambda covs, cfg: product_state(((0.0, 0.0), (0.0, 0.0)), covs, cfg),
 }
 
 
@@ -257,13 +255,12 @@ def test_product_state_is_the_composite_state_in_the_chain_basis():
     cfg = NetworkConfig(M=9, omega0=0.6, g=1.0)
     means = ((0.14, 0.25), (1.4, -0.5))
     covs = (squeezed_vacuum_local(1.0, 0.7), np.array([[0.8, 0.3], [0.3, 0.6]]))
-    chain = chain_normal_modes(cfg)
-    state = product_state(means, covs, chain)
+    state = product_state(means, covs, cfg)
     dense = initial_composite_state(means, covs, cfg)
     N = cfg.M + 2
     B = np.eye(N)
-    B[2:, 2:] = chain[1]
-    assert state.chain_modes is chain[1] and state.n_modes == N
+    B[2:, 2:] = chain_normal_modes(cfg)[1]
+    assert state.network is cfg and state.n_modes == N
     assert np.array_equal(state.mean, dense.mean)
     for (rows, cols), diag in (((0, 0), state.var_x), ((0, 1), state.cov_xp), ((1, 1), state.var_p)):
         block = dense.cov[rows * N : (rows + 1) * N, cols * N : (cols + 1) * N]
@@ -481,7 +478,7 @@ def assert_product_path_matches_site_path(spec, probe_covs):
     means = ((ini.x1, ini.p1), (ini.x2, ini.p2))
     qf = assemble_full_potential(spec.network, spec.probes)
     product = NormalModeTrajectory(
-        qf, product_state(means, probe_covs, chain_normal_modes(spec.network))
+        qf, product_state(means, probe_covs, spec.network)
     )
     site = NormalModeTrajectory(qf, initial_composite_state(means, probe_covs, spec.network))
     n = int(round(spec.run.horizon / spec.run.dt_cov))
@@ -529,7 +526,7 @@ def test_the_run_path_holds_no_dense_initial_covariance():
     N = spec.network.M + 2
     tracemalloc.start()
     try:
-        engine = _site_means(spec, _initial_state(spec)[1])[0]
+        engine = _site_means(spec, _initial_state(spec))[0]
         covs = engine.covariance_series(np.arange(101) * spec.run.dt_cov)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -537,6 +534,32 @@ def test_the_run_path_holds_no_dense_initial_covariance():
     assert np.all(np.isfinite(covs))
     ratio = peak / (8 * N * N)
     assert ratio <= 7.0, f"peak {ratio:.2f} N^2 doubles"
+
+
+def test_the_composite_eigensolve_holds_no_chain_mode_matrix(monkeypatch):
+    # when simulate diagonalizes the composite form, the potential V is
+    # the one N x N array alive: the chain's M x M modes are formed only
+    # inside the first covariance read (they read 2.01 N^2 doubles with V)
+    spec = resolve_spec("fig5_entanglement_common", {"M": 400, "horizon": 40.0})
+    N = spec.network.M + 2
+    live = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == (N, N):
+            live.append(tracemalloc.get_traced_memory()[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    tracemalloc.start()
+    try:
+        data = simulate(spec)
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(data.var_x1))
+    assert len(live) == 1
+    ratio = live[0] / (8 * N * N)
+    assert ratio <= 1.5, f"{ratio:.2f} N^2 doubles live at the composite eigh"
 
 
 def test_a_mixed_state_takes_the_whole_space_and_stays_exact():

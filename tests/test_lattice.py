@@ -12,9 +12,13 @@ from chainsync import (
     chain_dispersion,
     chain_normal_modes,
     check_stability,
+    initial_composite_state,
     max_group_velocity,
     revival_time,
+    squeezed_vacuum_local,
+    system_modes,
 )
+from chainsync.dynamics import product_state
 
 from oracles import group_velocity_grid, sine_mode_matrix
 
@@ -251,3 +255,67 @@ def test_chain_mode_rows_reject_sites_off_the_chain():
         for sites in ((0, 3), (1, 7)):
             with pytest.raises(ValueError):
                 chain_normal_modes(net, sites)
+
+
+def test_chain_mode_rows_reject_fractional_sites():
+    # a site of 2.7 once read site 2's row
+    cfg = NetworkConfig(M=6, omega0=0.4, g=1.2)
+    A = np.ones((6, 6)) - np.eye(6)
+    custom = NetworkConfig(M=6, omega0=0.4, g=1.2, coupling_matrix=A)
+    for net in (cfg, custom, 6):
+        for sites in ((2.7,), (1, 2.5), (np.nan,)):
+            with pytest.raises(ValueError, match="whole numbers"):
+                chain_normal_modes(net, sites)
+        # whole numbers of any type pick the same rows
+        assert np.array_equal(chain_normal_modes(net, (2.0, 5))[1], chain_normal_modes(net, (2, 5))[1])
+
+
+def test_validate_sites_rejects_fractional_sites():
+    probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=2.5)
+    with pytest.raises(ValueError, match=r"site_n=2.5 is not a whole number in \[1, 6\]"):
+        probes.validate_sites(6)
+    # assembly validates first, so no numpy IndexError escapes
+    with pytest.raises(ValueError, match="whole number"):
+        assemble_full_potential(NetworkConfig(M=6, omega0=0.4, g=1.2), probes)
+    ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1.0, site_n=6).validate_sites(6)
+
+
+def test_a_mode_pair_is_no_chain_input():
+    cfg = NetworkConfig(M=6, omega0=0.4, g=1.2)
+    pair = chain_normal_modes(cfg)
+    vac = (squeezed_vacuum_local(1.0, 0.0), squeezed_vacuum_local(1.1, 0.0))
+    probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=3)
+    for call in (
+        lambda: chain_normal_modes(pair, (1, 3)),
+        lambda: system_modes(probes, pair),
+        lambda: product_state(((0.0, 0.0), (0.0, 0.0)), vac, pair),
+        lambda: initial_composite_state(((0.0, 0.0), (0.0, 0.0)), vac, pair),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_a_custom_network_is_diagonalized_once_per_config(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    M = 12
+    rng = np.random.default_rng(4)
+    A = np.triu(rng.uniform(0.0, 1.5, size=(M, M)) * (rng.random((M, M)) < 0.5), 1)
+    cfg = NetworkConfig(M=M, omega0=0.4, g=1.2, coupling_matrix=A + A.T)
+    assert calls == []  # built on first use, not with the config
+    omegas, O = chain_normal_modes(cfg)
+    again, O_again = chain_normal_modes(cfg)
+    rows_omegas, _ = chain_normal_modes(cfg, (3, 7))
+    assert calls == [(M, M)]
+    assert O_again is O and again is omegas and rows_omegas is omegas
+    # the kept modes cannot be changed through what was returned
+    assert not O.flags.writeable
+    # an equal but separate config diagonalizes its own chain
+    chain_normal_modes(NetworkConfig(M=M, omega0=0.4, g=1.2, coupling_matrix=A + A.T))
+    assert calls == [(M, M)] * 2

@@ -47,7 +47,7 @@ def tms_covariance(r):
 def simulate_covariances(spec, times):
     """Probe covariances of a scenario run at ``times``, from the run's
     own engine."""
-    engine = _site_means(spec, _initial_state(spec)[1])[0]
+    engine = _site_means(spec, _initial_state(spec))[0]
     return engine.covariance_series(np.asarray(times, dtype=float))
 
 

@@ -46,8 +46,7 @@ def rotated_couplings(theta, K, site_m, site_n, M, sign2=1):
 
 def rayleigh_report(cfg, probes):
     """``chain_rayleigh_report`` of a probe pair on the network ``cfg``."""
-    chain = chain_normal_modes(cfg)
-    return chain_rayleigh_report(cfg, system_modes(probes, chain), chain[0])
+    return chain_rayleigh_report(cfg, system_modes(probes, cfg))
 
 
 def random_network(M, seed):

@@ -25,7 +25,7 @@ from chainsync import (
     sweep_plug_site,
     sync_series,
 )
-from chainsync import scenarios
+from chainsync import dynamics, lattice, modes, scenarios, trajectory
 from chainsync.errors import ConfigError
 from chainsync.scenarios import MAX_SAMPLES, MAX_SITES, read_config
 
@@ -429,7 +429,7 @@ def test_sweep_rows_equal_simulate_bit_for_bit(tmp_path):
     # scenario run of that site on its own
     spec = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0})
     sweep_plug_site(spec, sites=range(3, 9), out_dir=tmp_path)
-    _, state = scenarios._initial_state(spec)
+    state = scenarios._initial_state(spec)
     rows = []
     for site in range(3, 9):
         ss = simulate(resolve_spec("appB_sweep", dict(spec.flat(), site_n=site))).sync_means
@@ -442,17 +442,23 @@ def test_sweep_rows_equal_simulate_bit_for_bit(tmp_path):
 
 
 def test_a_sweep_builds_the_chain_and_initial_state_once(tmp_path, monkeypatch):
+    # one initial state, and sweep sites read means only: nothing asks for
+    # the chain's whole M x M mode matrix, only for rows or (with no sites)
+    # the frequencies
     calls = []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
+            calls.append((fn.__name__, args, kwargs))
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in ("chain_normal_modes", "product_state"):
-        monkeypatch.setattr(scenarios, name, counted(getattr(scenarios, name)))
+    monkeypatch.setattr(scenarios, "product_state", counted(scenarios.product_state))
+    chain_normal_modes = counted(lattice.chain_normal_modes)
+    for module in (lattice, dynamics, modes, trajectory, scenarios):
+        if hasattr(module, "chain_normal_modes"):
+            monkeypatch.setattr(module, "chain_normal_modes", chain_normal_modes)
 
     def no_resolve(*args, **kwargs):
         raise AssertionError("a sweep site resolved the spec again")
@@ -463,7 +469,12 @@ def test_a_sweep_builds_the_chain_and_initial_state_once(tmp_path, monkeypatch):
         calls.clear()
         record = sweep_plug_site(spec, sites=sites, out_dir=tmp_path)
         assert record.summary["failed_sites"] == 0
-        assert calls == ["chain_normal_modes", "product_state"]
+        assert [name for name, _, _ in calls].count("product_state") == 1
+        whole = [
+            args for name, args, kwargs in calls
+            if name == "chain_normal_modes" and len(args) < 2 and "sites" not in kwargs
+        ]
+        assert whole == []
 
 
 def test_a_program_error_inside_a_site_propagates(tmp_path, monkeypatch):
@@ -558,6 +569,11 @@ def test_one_diagonalization_per_run_and_site(tmp_path, monkeypatch):
     simulate(dataclasses.replace(spec, network=network))
     assert calls == ["eigh"] * 2
     assert sorted(shapes[-2:]) == [(12, 12), (14, 14)]
+    # a second run of the same network reuses its chain's modes
+    calls.clear()
+    shapes.clear()
+    simulate(dataclasses.replace(spec, network=network))
+    assert calls == ["eigh"] and shapes == [(14, 14)]
 
 
 def test_csv_writer_matches_per_value_formatter(tmp_path):
