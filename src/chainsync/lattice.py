@@ -107,14 +107,15 @@ class QuadraticForm:
     """Symmetric potential matrix of the composite system.
 
     ``V`` is (M+2) x (M+2); probes occupy rows 0 and 1, and chain site s
-    (1-based) is row s + 1.
+    (1-based) is row s + 1.  An exactly symmetric float array is kept by
+    reference, with no copy; any other is replaced by its symmetric part.
     """
 
     V: np.ndarray
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
-        object.__setattr__(self, "V", 0.5 * (V + V.T))  # exact symmetry
+        object.__setattr__(self, "V", V if np.array_equal(V, V.T) else 0.5 * (V + V.T))
 
     @property
     def dim(self) -> int:
@@ -123,15 +124,23 @@ class QuadraticForm:
 
 def build_chain_potential(cfg: NetworkConfig) -> np.ndarray:
     """Potential matrix of the environment network alone (M x M)."""
+    V = np.zeros((cfg.M, cfg.M))
+    _write_chain_potential(V, cfg)
+    return V
+
+
+def _write_chain_potential(out: np.ndarray, cfg: NetworkConfig) -> None:
+    """Write the chain's potential into the zeroed M x M array ``out``, the
+    homogeneous chain with no M x M temporary: its freed block is a heap
+    hole the composite N x N arrays cannot reuse (32 MB at M = 2000)."""
     if cfg.coupling_matrix is not None:
         A = cfg.coupling_matrix
         V = np.diag(cfg.omega0**2 + A.sum(axis=1)) - A
-        return 0.5 * (V + V.T)
-    d = cfg.omega0**2 + 2.0 * cfg.g
-    V = np.diag(np.full(cfg.M, d))
-    off = np.full(cfg.M - 1, -cfg.g)
-    V += np.diag(off, 1) + np.diag(off, -1)
-    return V
+        out[...] = 0.5 * (V + V.T)
+        return
+    i = np.arange(cfg.M)
+    out[i, i] = cfg.omega0**2 + 2.0 * cfg.g
+    out[i[:-1], i[1:]] = out[i[1:], i[:-1]] = -cfg.g
 
 
 def chain_dispersion(cfg: NetworkConfig) -> np.ndarray:
@@ -207,7 +216,7 @@ def assemble_full_potential(cfg: NetworkConfig, probes: ProbePair) -> QuadraticF
     V[0, 0] = probes.omega1**2 + probes.lam
     V[1, 1] = probes.omega2**2 + probes.lam
     V[0, 1] = V[1, 0] = -probes.lam
-    V[2:, 2:] = build_chain_potential(cfg)
+    _write_chain_potential(V[2:, 2:], cfg)
     im = 1 + probes.site_m
     in_ = 1 + probes.site_n
     V[0, im] += probes.K

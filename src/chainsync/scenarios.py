@@ -400,6 +400,7 @@ class SimulationData:
     min_eigenvalue: float
     modes: SystemModes
     covariance_basis: int | str
+    covariance_leak: float
 
 
 @dataclass
@@ -461,6 +462,7 @@ def simulate(spec: ScenarioSpec) -> SimulationData:
         min_eigenvalue=engine.min_eigenvalue,
         modes=modes,
         covariance_basis=engine.covariance_basis,
+        covariance_leak=engine.covariance_leak,
     )
 
 
@@ -488,6 +490,7 @@ def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:
         "max_group_velocity": max_group_velocity(spec.network),
         "min_eigenvalue": data.min_eigenvalue,
         "covariance_basis": data.covariance_basis,
+        "covariance_leak": data.covariance_leak,
         "plateau_band_lo": lo,
         "plateau_band_hi": hi,
         "c_means_plateau": _nanmedian(data.sync_means.in_band(lo, hi)),

@@ -19,25 +19,24 @@ one real matrix product, O(N C) per sample, and z is never formed.
 Means are the trajectory of the initial mean.  Covariances split the
 initial covariance Sigma0 into the coupled ground state Sigma_g, which
 is stationary, and the part Delta = Sigma0 - Sigma_g that moves.  For a
-product of local probe states and the chain vacuum, Delta is numerically
-low-rank, and a deterministic resolvent basis Q with Delta = Q H Q^T to
-round-off is built once per engine, on the first covariance read.  H
-and the check of the residual are formed in the initial state's local
-basis B (site coordinates s = B l), where its covariance C = B^T Sigma0 B
-is given, through W^T U with W^T = B^T O: O(N^2 r) plus the two
-symmetric rank-N updates of the ground state (W^T sqrt(g))(W^T sqrt(g))^T.
-A ``dynamics.ProductState`` has B = diag(I_2, O_chain) and a diagonal C,
-so Sigma0 is never formed, and W^T costs one chain-sized product, with
-O_chain formed from the state's network for that product alone; a
-``GaussianState`` has B = I, C = Sigma0 and W^T = O.  A reader of means
-alone never touches B or C.
+``dynamics.ProductState`` (local probe states times the chain vacuum)
+Delta moves only through the probe rows, so it lies on the resolvent
+vectors (V + s^2)^{-1} e_site; a basis Q of them is built on the first
+covariance read and kept while a convergence test of its shift grid,
+the midpoint leak, passes, in O(N r k).  H in Delta = Q H Q^T is formed
+in the state's local basis B = diag(I_2, O_chain) (site coordinates
+s = B l), where its covariance C = B^T Sigma0 B is diagonal, from
+B^T O U, in O(N^2 r), with O_chain's rows formed from the state's
+network a block at a time, so Sigma0 is never formed.  A
+``GaussianState`` is arbitrary and always takes the whole space (Q = I),
+at O(N^3) once and O(N^2) per sample.  A reader of means alone never
+touches B or C.
 The covariances are then the constant probe block of Sigma_g plus
 V H V^T, with V the probe trajectories of Q's 2r columns, O(N r) per
-sample.  Any other state takes the whole space as its basis (Q = I,
-H = Delta) through the same formula.  ``state_at`` uses the same split
-with the full map ``dynamics.phase_map``.  Results equal repeated
-application of propagator maps to round-off; tests cover the
-equivalence, including off-grid times and mixed states.
+sample.  ``state_at`` uses the same split with the full map
+``dynamics.phase_map``.  Results equal repeated application of
+propagator maps to round-off; tests cover the equivalence, including
+off-grid times and mixed states.
 Like ``dynamics.propagator``, the engine accepts stable forms only, so
 every normal frequency is positive.
 """
@@ -60,10 +59,10 @@ from .lattice import QuadraticForm, chain_normal_modes
 # (V + s^2)^{-1} e_site, which a geometric grid of shifts samples with an
 # error falling by a fixed factor per shift (Beckermann, Kressner &
 # Schweitzer, SIAM J. Matrix Anal. Appl. 39 (2018) 539).  On the presets,
-# whose (nu_max / nu_min)^2 is about 31, 16 shifts reach round-off
-# (12 leave 2e-11 of Sigma0); 32 cover a spectrum whose spread in
-# ln(nu^2) is about twice as wide before the check below forces the whole
-# space.
+# whose (nu_max / nu_min)^2 is about 31, 16 to 18 shifts reproduce Delta
+# to round-off.  With 32, _LEAK_GAIN keeps the basis for omega0 down to
+# 0.05 at M = 60 and M = 2000 and down to 0.1 at M = 300 (g = 1.2, spreads
+# of about 850, 1,800 and 475), and takes the whole space beyond.
 _SHIFTS = 32
 # the grid runs two decades past the spectrum at both ends; beyond it the
 # resolvent is its series in s^2 / nu^2 or nu^2 / s^2, whose leading terms
@@ -74,8 +73,22 @@ _SHIFT_MARGIN = 100.0
 # eps * sqrt(columns) ~ 2e-15 is their cancellation to round-off and
 # carries no part of Delta; 1e-14 keeps a few ulps above that
 _BASIS_CUT = 1e-14
-# rows per tile of the residual check and of ``state_at``, so no second
-# N x N (or 2N x 2N) array is formed
+# the resolvent basis is kept while its midpoint leak is at most
+# _LEAK_GAIN N^2 eps.  The leak is the largest distance from span(U) of a
+# unit resolvent column at the geometric midpoint of two neighbouring
+# shifts, where the continuum above is farthest from the grid, so it is a
+# convergence test of the grid, in O(N r k).  What it has to stand for is
+# the exact residual ||Delta - Q H Q^T||_F against Delta's own round-off,
+# 2 N^{3/2} eps ||Sigma0||_F (``tests/oracles.py``).  On the presets at
+# M = 20 to 2000 and 6 to 32 shifts that residual is at most about
+# 2e-2 leak N^{-1/2} ||Sigma0||_F: per unit of leak it falls as N^{-1/2}
+# while the round-off grows as N^{3/2}, so the leak at the bound grows as
+# N^2.  Every basis the exact check rejected had a leak of at least
+# 127 N^2 eps (fig3, M = 2000, 12 shifts); at 32 shifts the presets read
+# 0.06-0.36 N^2 eps for M <= 6 and 8e-5 N^2 eps at M = 2000.  The gain 10
+# keeps an order of magnitude from both.
+_LEAK_GAIN = 10.0
+# rows per tile of ``state_at``, so no second 2N x 2N array is formed
 _ROWS = 256
 
 
@@ -120,107 +133,82 @@ class NormalModeTrajectory:
         out = phasor_sums(self.nu, times, self._probe_coef(self._y0[:, None], self._pi0[:, None]))
         return out[:, :2], out[:, 2:]
 
-    def _resolvent_basis(self) -> np.ndarray:
-        """Orthonormal U (N x r) spanning the normal-coordinate site
-        vectors O[sites]^T and diag(1 / (nu^2 + s^2)) O[sites]^T at the
-        _SHIFTS shifts, from one thin SVD."""
+    def _resolvent_basis(self):
+        """(U, leak): orthonormal U (N x r) spanning the normal-coordinate
+        site vectors O[sites]^T and diag(1 / (nu^2 + s^2)) O[sites]^T at
+        the _SHIFTS shifts, from one thin SVD, and the midpoint leak, the
+        largest norm of (I - U U^T) a over the unit resolvent columns a at
+        the geometric midpoints of the shifts, in O(N r k)."""
         nu2 = self.nu**2
         R = self.O[self._sites].T
         shifts = np.geomspace(nu2.min() / _SHIFT_MARGIN, _SHIFT_MARGIN * nu2.max(), _SHIFTS)
         A = np.concatenate([R, *(R / (nu2 + s)[:, None] for s in shifts)], 1)
         A /= np.linalg.norm(A, axis=0)
         U, sv, _ = np.linalg.svd(A, full_matrices=False)
-        return U[:, sv > _BASIS_CUT * sv[0]]
+        U = U[:, sv > _BASIS_CUT * sv[0]]
+        mid = np.concatenate([R / (nu2 + s)[:, None] for s in np.sqrt(shifts[:-1] * shifts[1:])], 1)
+        mid /= np.linalg.norm(mid, axis=0)
+        return U, float(np.linalg.norm(mid - U @ (U.T @ mid), axis=0).max())
 
     @staticmethod
     def _ground_block(A, g) -> np.ndarray:
         """A diag(g) A^T as G G^T with G = A diag(sqrt(g)): numpy takes an
         array times its own transpose as one symmetric rank-N update, half
         the work of (A g) A^T.  For A = O and g = 1/2nu or nu/2 it is the x
-        or p block of the coupled ground state Sigma_g in site coordinates;
-        for A = W^T = B^T O it is that block in the local basis B."""
+        or p block of the coupled ground state Sigma_g in site
+        coordinates."""
         G = A * np.sqrt(g)
         return G @ G.T
 
-    def _local_moments(self):
-        """(W^T, blocks): W^T = B^T O for the initial state's local basis
-        B, and the x, x-p and p blocks of its covariance C = B^T Sigma0 B,
-        a diagonal block given as its diagonal.  A ``ProductState`` has
-        B = diag(I_2, O_chain) and diagonal blocks, and W^T costs one
-        (N - 2)^2 by (N - 2) x N product, with O_chain formed here from
-        the state's network and dropped on return; a ``GaussianState`` has
-        B = I, so W^T is O itself and C is Sigma0."""
-        state, O = self._state, self.O
-        N = O.shape[0]
-        if isinstance(state, GaussianState):
-            cov = state.cov
-            return O, [cov[:N, :N], cov[:N, N:], cov[N:, N:]]
-        Wt = np.empty_like(O)
-        Wt[:2] = O[:2]
-        np.matmul(chain_normal_modes(state.network)[1].T, O[2:], out=Wt[2:])
-        return Wt, [state.var_x, state.cov_xp, state.var_p]
-
     @cached_property
     def _moving_part(self):
-        """(U, H, basis) with Delta = Q H Q^T for Q = diag(U, U): U the
-        resolvent basis where it reproduces Delta to round-off, and
-        ``basis`` its dimension 2r; otherwise U is the identity, H = Delta
-        and ``basis`` is ``"full"``.  H and the residual are formed in the
-        initial state's local basis B through W^T U, W^T = B^T O, so Sigma0
-        is neither formed nor rotated."""
-        nu = self.nu
+        """(U, H, basis, leak) with Delta = Q H Q^T for Q = diag(U, U).
+
+        A ``ProductState`` keeps the resolvent basis U (``basis`` = 2r)
+        while its midpoint ``leak`` is at most _LEAK_GAIN N^2 eps, and
+        takes the whole space (U = I, ``basis`` = ``"full"``) otherwise; H
+        comes from B^T O U = [Y[:2]; O_chain^T Y[2:]], Y = O U, in O(N^2 r).
+        A ``GaussianState`` always takes the whole space, with a nan
+        ``leak``: the leak does not depend on the state, and only the
+        product structure puts Delta on the resolvent vectors."""
+        nu, O, state = self.nu, self.O, self._state
         N = nu.size
-        Wt, C = self._local_moments()
-        blocks = list(zip(C, (0.5 / nu, None, 0.5 * nu)))
-
-        def project(U):
-            WU = Wt @ U
-            return WU, [
-                ((WU.T @ S if S.ndim == 2 else WU.T * S) @ WU)
-                - (0.0 if g is None else (U.T * g) @ U)
-                for S, g in blocks
-            ]
-
-        U = self._resolvent_basis()
-        WU, H = project(U)
-        # ||Delta - Q H Q^T||_F and ||Sigma0||_F, both invariant under the
-        # orthogonal B and O, one tile of rows at a time in the basis B (the
-        # x-p block counts twice)
-        resid = norm = 0.0
-        for (S, g), h, w in zip(blocks, H, (1, 2, 1)):
-            Sg = None if g is None else self._ground_block(Wt, g)
-            for lo in range(0, N, _ROWS):
-                rows = slice(lo, lo + _ROWS)
-                # C's rows; a diagonal block's tile is formed from its diagonal
-                T = S[rows] if S.ndim == 2 else np.eye(S[rows].size, N, lo) * S[rows, None]
-                R = T - (WU[rows] @ h) @ WU.T
-                if Sg is not None:
-                    R -= Sg[rows]
-                resid += w * np.einsum("ij,ij->", R, R)
-                norm += w * np.einsum("ij,ij->", T, T)
-        # C is exact to one rounding per entry, and ||C||_F = ||Sigma0||_F.
-        # The round-off sits in the ground state G G^T, G = W^T diag(sqrt(g)):
-        # W^T = B^T O and G G^T are each one product of N-term sums, the two
-        # products that formed Sigma0's chain blocks and Sigma_g in site
-        # coordinates.  Each is taken to be off by about gamma_N tr(Sigma) <=
-        # N^{3/2} eps ||Sigma||_F in Frobenius norm (the trace of a positive
-        # matrix is at most sqrt(N) times its Frobenius norm).  The chain
-        # vacuum is near Sigma_g, so Delta is only known to
-        # 2 N^{3/2} eps ||Sigma0||_F; a smaller residual is below that noise.
-        # On the presets at M = 60 to 1000 it is 0.17-0.63 N eps ||Sigma0||_F
-        # in the product basis and 0.18-0.51 in site coordinates (B = I).
-        basis = 2 * U.shape[1]
-        if np.sqrt(resid) > 2.0 * N**1.5 * np.finfo(float).eps * np.sqrt(norm):
-            U, basis = np.eye(N), "full"
-            _, H = project(U)
-        return U, np.block([[H[0], H[1]], [H[1].T, H[2]]]), basis
+        if isinstance(state, GaussianState):
+            U, leak, full, Y = np.eye(N), np.nan, True, O
+            C = [state.cov[:N, :N], state.cov[:N, N:], state.cov[N:, N:]]
+        else:
+            U, leak = self._resolvent_basis()
+            full = leak > _LEAK_GAIN * N**2 * np.finfo(float).eps
+            if full:
+                U = np.eye(N)
+            Y = O @ U
+            # O_chain^T Y[2:], one block of chain rows at a time
+            Z = np.zeros_like(Y[2:])
+            for lo in range(0, N - 2, _ROWS):
+                rows = chain_normal_modes(state.network, range(lo + 1, min(lo + _ROWS, N - 2) + 1))[1]
+                Z += rows.T @ Y[2 + lo : 2 + lo + rows.shape[0]]
+            Y[2:] = Z
+            C = [state.var_x, state.cov_xp, state.var_p]
+        H = [
+            ((Y.T @ S if S.ndim == 2 else Y.T * S) @ Y) - (0.0 if g is None else (U.T * g) @ U)
+            for S, g in zip(C, (0.5 / nu, None, 0.5 * nu))
+        ]
+        basis = "full" if full else 2 * U.shape[1]
+        return U, np.block([[H[0], H[1]], [H[1].T, H[2]]]), basis, leak
 
     @property
     def covariance_basis(self):
         """Dimension 2r of the basis Q of the moving part, or ``"full"``
-        when the resolvent basis does not reproduce it and Q is the whole
-        space."""
+        when Q is the whole space: always for a ``GaussianState``, and for
+        a ``ProductState`` whose midpoint leak exceeds _LEAK_GAIN N^2 eps."""
         return self._moving_part[2]
+
+    @property
+    def covariance_leak(self) -> float:
+        """Midpoint leak of the resolvent basis (see _LEAK_GAIN): how close
+        the first covariance read came to the whole-space fallback; nan
+        for a ``GaussianState``, which tries no resolvent basis."""
+        return self._moving_part[3]
 
     def covariance_series(self, times):
         """Covariance of the two probes at each time: (len(times), 4, 4) in
@@ -230,7 +218,7 @@ class NormalModeTrajectory:
         block of times at a time.  On the whole-space basis this costs
         O(N^2) per sample, like the dense product B Sigma0 B^T."""
         times = np.asarray(times, dtype=float)
-        U, H, _ = self._moving_part
+        U, H = self._moving_part[:2]
         rows, nu = self.O[:2], self.nu
         out = np.zeros((times.size, 4, 4))
         out[:, :2, :2] = (rows / (2.0 * nu)) @ rows.T
@@ -247,10 +235,12 @@ class NormalModeTrajectory:
         """Full composite Gaussian state at time t: the ground state in site
         coordinates, O diag(1/2nu) O^T and O diag(nu/2) O^T, plus P H P^T
         with P = ``phase_map(O, nu, z)`` Q, built one tile of rows at a time.
-        The ground state's two N x N products set the O(N^3) cost."""
+        On a resolvent basis P is 2N x 2r and the ground state's two N x N
+        products set the O(N^3) cost; on the whole space (every
+        ``GaussianState``) P is 2N x 2N and P H P^T costs several times more."""
         nu, O = self.nu, self.O
         N = nu.size
-        U, H, _ = self._moving_part
+        U, H = self._moving_part[:2]
         z = np.exp(1j * (nu * float(t)))
         m0 = np.concatenate([self._y0, self._pi0])
         mean = np.empty(2 * N)

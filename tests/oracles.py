@@ -213,6 +213,42 @@ def dense_covariance_series(qf, state, times):
     return out
 
 
+def basis_residual(nu, O, state, U, rows=256):
+    """Exact check of a covariance basis Q = diag(U, U) for the engine of a
+    ``ProductState`` with spectrum ``nu`` and modes ``O``: returns
+    (||Delta - Q H Q^T||_F, 2 N^{3/2} eps ||Sigma0||_F), H = Q^T Delta Q,
+    and the basis holds when the first is at most the second.
+
+    Both norms are invariant under the orthogonal B = diag(I_2, O_chain)
+    and O, so they are taken one tile of ``rows`` rows at a time in the
+    state's local basis, where its covariance C is diagonal, against the
+    ground state (W^T sqrt(g))(W^T sqrt(g))^T, W^T = B^T O; the x-p block
+    counts twice.  The bound is the round-off of Delta: C is exact to one
+    rounding per entry, and W^T and the ground state are each one product
+    of N-term sums, taken to be off by about gamma_N tr(Sigma) <=
+    N^{3/2} eps ||Sigma||_F (the trace of a positive matrix is at most
+    sqrt(N) times its Frobenius norm).  O(N^3)."""
+    N = nu.size
+    Wt = np.empty_like(O)
+    Wt[:2] = O[:2]
+    Wt[2:] = chain_normal_modes(state.network)[1].T @ O[2:]
+    WU = Wt @ U
+    resid = norm = 0.0
+    for S, g, w in ((state.var_x, 0.5 / nu, 1), (state.cov_xp, None, 2),
+                    (state.var_p, 0.5 * nu, 1)):
+        h = (WU.T * S) @ WU - (0.0 if g is None else (U.T * g) @ U)
+        G = None if g is None else Wt * np.sqrt(g)
+        for lo in range(0, N, rows):
+            tile = slice(lo, lo + rows)
+            T = np.eye(S[tile].size, N, lo) * S[tile, None]
+            R = T - (WU[tile] @ h) @ WU.T
+            if G is not None:
+                R -= G[tile] @ G.T
+            resid += w * np.einsum("ij,ij->", R, R)
+            norm += w * np.einsum("ij,ij->", T, T)
+    return math.sqrt(resid), 2.0 * N**1.5 * np.finfo(float).eps * math.sqrt(norm)
+
+
 def cosine_kernels(c1, c2, chain_freqs, times):
     """(gamma1, gamma2, eta) of ``damping_kernels`` from one ``np.cos`` per
     (time, chain mode) pair."""

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -29,7 +30,8 @@ from chainsync.scenarios import PRESETS, _initial_state, _site_means, resolve_sp
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import (
-    dense_covariance_series, direct_phasor_sums, rk4_reference, symplectic_defect, uncertainty_defect
+    basis_residual, dense_covariance_series, direct_phasor_sums, rk4_reference,
+    symplectic_defect, uncertainty_defect,
 )
 
 
@@ -448,8 +450,10 @@ def test_covariance_series_matches_the_dense_product(preset, M):
 def test_product_states_take_the_resolvent_basis(preset):
     # falling back to the whole space would stay exact but cost the dense
     # O(N^2) per sample, which only this test sees
-    spec, _, state = preset_system(preset, 300)
-    engine = NormalModeTrajectory(assemble_full_potential(spec.network, spec.probes), state)
+    spec, _, _ = preset_system(preset, 300)
+    engine = NormalModeTrajectory(
+        assemble_full_potential(spec.network, spec.probes), _initial_state(spec)
+    )
     basis = engine.covariance_basis
     assert isinstance(basis, int) and basis <= 100
 
@@ -472,8 +476,9 @@ def test_a_means_only_engine_holds_no_covariance_block():
 
 def assert_product_path_matches_site_path(spec, probe_covs):
     """Engines of a spec's initial state in the chain basis (the run path's
-    ProductState) and in site coordinates (the dense state) agree; returns
-    their covariance basis."""
+    ProductState, on its resolvent basis) and in site coordinates (the
+    dense state, which always takes the whole space) agree; returns the
+    ProductState's covariance basis."""
     ini = spec.initial
     means = ((ini.x1, ini.p1), (ini.x2, ini.p2))
     qf = assemble_full_potential(spec.network, spec.probes)
@@ -484,13 +489,13 @@ def assert_product_path_matches_site_path(spec, probe_covs):
     n = int(round(spec.run.horizon / spec.run.dt_cov))
     times = np.arange(n + 1) * spec.run.dt_cov
     got, ref = product.covariance_series(times), site.covariance_series(times)
-    assert product.covariance_basis == site.covariance_basis
+    assert site.covariance_basis == "full"
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     for t in (0.0, 37.3):
         got, ref = product.state_at(t), site.state_at(t)
         assert np.max(np.abs(got.cov - ref.cov)) <= 1e-14 * np.max(np.abs(ref.cov))
         assert np.max(np.abs(got.mean - ref.mean)) <= 1e-14 * np.max(np.abs(ref.mean))
-    return site.covariance_basis
+    return product.covariance_basis
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -509,8 +514,9 @@ def test_product_path_matches_site_path_on_a_custom_network():
 
 
 def test_product_path_matches_site_path_on_the_whole_space(monkeypatch):
-    # two shifts leave the resolvent basis far from round-off, so both
-    # paths take the whole space as the basis of the moving part
+    # two shifts leave the resolvent basis far from round-off, so the
+    # product path takes the whole space as the basis of the moving part,
+    # as the dense path always does
     monkeypatch.setattr(trajectory, "_SHIFTS", 2)
     spec, probe_covs, _ = preset_system("fig2_dissipation", 60)
     assert assert_product_path_matches_site_path(spec, probe_covs) == "full"
@@ -534,6 +540,43 @@ def test_the_run_path_holds_no_dense_initial_covariance():
     assert np.all(np.isfinite(covs))
     ratio = peak / (8 * N * N)
     assert ratio <= 7.0, f"peak {ratio:.2f} N^2 doubles"
+
+
+def test_the_first_covariance_read_holds_no_ground_state_block():
+    # after set-up, the basis of the moving part forms no N x N array:
+    # B^T O U takes the chain's modes a block of rows at a time, and the
+    # resolvent block and its SVD read 1.6 N^2 doubles at this N; the
+    # O(N^3) residual check held the chain's modes, W^T and a ground-state
+    # block (4.4 N^2).  The series that follows holds O(N r) coefficient
+    # arrays only, which at this N read 3.6 N^2 on their own.
+    spec = resolve_spec("fig5_entanglement_common", {"M": 400})
+    N = spec.network.M + 2
+    engine = _site_means(spec, _initial_state(spec))[0]
+    tracemalloc.start()
+    try:
+        basis = engine.covariance_basis
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(basis, int)
+    ratio = peak / (8 * N * N)
+    assert ratio <= 3.0, f"peak {ratio:.2f} N^2 doubles"
+
+
+@pytest.mark.parametrize("M", [20, 60, 300])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_the_midpoint_leak_accepts_only_bases_the_exact_residual_accepts(preset, M, monkeypatch):
+    # fewer shifts stand in for a wider spectrum; 14, 15 and 17 shifts
+    # reach the exact check's bound on fig3 at M = 20 to 60
+    spec, _, _ = preset_system(preset, M)
+    state = _initial_state(spec)
+    engine = NormalModeTrajectory(assemble_full_potential(spec.network, spec.probes), state)
+    for shifts in (6, 8, 10, 12, 14, 15, 16, 17, 20, 32):
+        monkeypatch.setattr(trajectory, "_SHIFTS", shifts)
+        kept = isinstance(copy.copy(engine).covariance_basis, int)
+        resid, bound = basis_residual(engine.nu, engine.O, state, engine._resolvent_basis()[0])
+        assert resid <= bound or not kept, f"{shifts} shifts: residual {resid / bound:.3g} x bound"
+        assert kept or shifts < 32
 
 
 def test_the_composite_eigensolve_holds_no_chain_mode_matrix(monkeypatch):

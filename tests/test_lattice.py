@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -319,3 +321,28 @@ def test_a_custom_network_is_diagonalized_once_per_config(monkeypatch):
     # an equal but separate config diagonalizes its own chain
     chain_normal_modes(NetworkConfig(M=M, omega0=0.4, g=1.2, coupling_matrix=A + A.T))
     assert calls == [(M, M)] * 2
+
+
+def test_assembly_holds_one_n_by_n_array():
+    # the chain block is written into V in place, and an exactly symmetric
+    # V is kept without a copy: the chain's M x M temporaries and the
+    # symmetrizing copy read 3.98 N^2 doubles at M = 400
+    cfg = NetworkConfig(M=400, omega0=0.4, g=1.2)
+    probes = ProbePair(omega2=1.2, lam=0.0, K=0.8, site_m=1, site_n=1)
+    N = cfg.M + 2
+    tracemalloc.start()
+    try:
+        qf = assemble_full_potential(cfg, probes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(qf.V, qf.V.T)
+    ratio = peak / (8 * N * N)
+    assert ratio <= 1.5, f"peak {ratio:.2f} N^2 doubles"
+
+
+def test_quadratic_form_keeps_a_symmetric_matrix_and_symmetrizes_any_other():
+    S = np.array([[2.0, -1.0], [-1.0, 3.0]])
+    assert QuadraticForm(S).V is S
+    V = QuadraticForm([[1, 2], [0, 1]]).V
+    assert V.dtype == float and np.array_equal(V, [[1.0, 1.0], [1.0, 1.0]])

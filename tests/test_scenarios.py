@@ -299,6 +299,26 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_record_shows_how_close_the_basis_came_to_the_whole_space(tmp_path, monkeypatch):
+    spec = resolve_spec("fig2_dissipation", SMALL)
+    N = spec.network.M + 2
+    cut = trajectory._LEAK_GAIN * N**2 * np.finfo(float).eps
+
+    def basis_and_leak(out):
+        run_scenario(spec, out_dir=out)
+        text = (out / "record.txt").read_text()
+        basis = re.search(r"^covariance_basis = (\S+)$", text, re.M).group(1)
+        return basis, float(re.search(r"^covariance_leak = (\S+)$", text, re.M).group(1))
+
+    basis, leak = basis_and_leak(tmp_path / "a")
+    assert basis.isdigit() and 0.0 < leak <= cut
+    # two shifts leave the grid far from converged: the leak says so, and
+    # the run takes the whole space
+    monkeypatch.setattr(trajectory, "_SHIFTS", 2)
+    basis, leak = basis_and_leak(tmp_path / "b")
+    assert basis == "full" and leak > cut
+
+
 def test_quantum_csv_optional(tmp_path):
     spec = resolve_spec("fig2_dissipation", dict(SMALL, write_quantum=False))
     record = run_scenario(spec, out_dir=tmp_path)
