@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstabilityError, UncertaintyViolation
-from .lattice import DEFAULT_STABILITY_TOL, NetworkConfig, QuadraticForm, chain_normal_modes
+from .errors import UncertaintyViolation
+from .lattice import NetworkConfig, QuadraticForm, chain_normal_modes, check_stability
 
 # time rows per block of ``phasor_sum_blocks``: one exact start phasor and
 # one slice of the cached table exp(i nu k h) per block
@@ -28,6 +28,9 @@ _GROUP = 16
 _GROUP_COLUMNS = 64
 # rows and columns per tile when a covariance is symmetrized or checked
 _TILE = 256
+# entries of the complex temporary in which a slice of modes of
+# ``phasor_sum_blocks`` takes its anchored coefficients
+_ANCHOR_ENTRIES = 1 << 14
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -254,11 +257,21 @@ def phasor_sum_blocks(nu, times, coef):
         yield block, (np.exp(1j * (times[block, None] * nu)) @ coef).real
     grid = [b for b, on in zip(blocks, on_grid) if on]
     size = max(1, min(_GROUP, _GROUP_COLUMNS // max(1, coef.shape[1])))
+    N, C = nu.size, coef.shape[1]
+    # the anchored coefficients p_b coef of a group, as [Re; -Im]: one real
+    # buffer for every group, written a slice of modes at a time
+    buffer = np.empty(2 * N * min(size, len(grid)) * C)
+    rows = max(1, _ANCHOR_ENTRIES // (size * max(C, 1)))
     for lo in range(0, len(grid), size):
         group = grid[lo : lo + size]
-        starts = times[[b.start for b in group]]
-        pc = np.exp(1j * (nu[:, None] * starts))[:, :, None] * coef[:, None]
-        prod = W @ np.concatenate([pc.real, -pc.imag]).reshape(W.shape[1], -1)
+        phasors = np.exp(1j * (nu[:, None] * times[[b.start for b in group]]))
+        anchored = buffer[: 2 * N * len(group) * C].reshape(2 * N, len(group), C)
+        for r in range(0, N, rows):
+            m = slice(r, min(r + rows, N))
+            pc = phasors[m, :, None] * coef[m, None]
+            anchored[m] = pc.real
+            np.negative(pc.imag, out=anchored[N + m.start : N + m.stop])
+        prod = W @ anchored.reshape(2 * N, -1)
         prod = prod.reshape(W.shape[0], len(group), -1)
         for i, block in enumerate(group):
             yield block, prod[: block.stop - block.start, i]
@@ -292,24 +305,28 @@ def phase_map(rows, nu, z):
 
 
 def spectrum(qf: QuadraticForm):
-    """Normal modes ``(nu, O, min_eig)`` of V = O diag(nu^2) O^T from one
-    ``eigh``; min_eig <= DEFAULT_STABILITY_TOL raises InstabilityError,
-    so every nu is at least 1e-5."""
-    evals, O = np.linalg.eigh(qf.V)
-    min_eig = float(evals[0])
-    if min_eig <= DEFAULT_STABILITY_TOL:
-        raise InstabilityError(min_eig, DEFAULT_STABILITY_TOL)
-    return np.sqrt(evals), O, min_eig
+    """Normal modes ``(nu, modes, min_eig)`` of V = O diag(nu^2) O^T from
+    the form's one eigensolve ``qf.modes``: the two secular solves of
+    ``lattice.CompositeModes`` for an assembled form, O(N^2), whose O is
+    applied without being formed, and one ``eigh`` for a bare form.
+    ``check_stability`` reads the same solve: min_eig <=
+    DEFAULT_STABILITY_TOL raises InstabilityError, so every nu is at
+    least 1e-5."""
+    min_eig = check_stability(qf)
+    return np.sqrt(qf.modes.values), qf.modes, min_eig
 
 
 def propagator(qf: QuadraticForm, t: float) -> SymplecticMap:
     """Exact phase-space propagator of H = p^T p / 2 + x^T V x / 2 for a
     stable form (an unstable one raises InstabilityError).
 
-    Diagonalizes V once and rotates the per-mode solution back to the
-    site basis; the result satisfies S J S^T = J to round-off.
+    Diagonalizes V once with a dense ``eigh``, whatever the form records
+    of its chain, so it stays an independent check of the engine, and
+    rotates the per-mode solution back to the site basis; the result
+    satisfies S J S^T = J to round-off.
     """
-    nu, O, _ = spectrum(qf)
+    nu, modes, _ = spectrum(QuadraticForm(qf.V))
+    O = modes.dense
     D = phase_map(O, nu, np.exp(1j * (nu * t)))
     N = qf.dim
     return SymplecticMap(np.hstack([D[:, :N] @ O.T, D[:, N:] @ O.T]))

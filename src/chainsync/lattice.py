@@ -13,6 +13,7 @@ diagonalized by the orthogonal sine transform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,9 +110,15 @@ class QuadraticForm:
     ``V`` is (M+2) x (M+2); probes occupy rows 0 and 1, and chain site s
     (1-based) is row s + 1.  An exactly symmetric float array is kept by
     reference, with no copy; any other is replaced by its symmetric part.
+    ``assemble_full_potential`` also records the ``network`` and
+    ``probes`` that V was built from, and ``modes`` then comes from the
+    chain's closed-form modes (``CompositeModes``); a bare form's
+    ``modes`` is one dense ``eigh`` (``DenseModes``).
     """
 
     V: np.ndarray
+    network: NetworkConfig | None = field(default=None, repr=False, compare=False)
+    probes: ProbePair | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
@@ -120,6 +127,15 @@ class QuadraticForm:
     @property
     def dim(self) -> int:
         return self.V.shape[0]
+
+    @cached_property
+    def modes(self):
+        """Eigenvalues and eigenvectors of V, solved on first use and kept,
+        so ``check_stability`` and ``dynamics.spectrum`` share one solve."""
+        if self.network is None:
+            values, O = np.linalg.eigh(self.V)
+            return DenseModes(values, O)
+        return CompositeModes(self.V, self.network, self.probes)
 
 
 def build_chain_potential(cfg: NetworkConfig) -> np.ndarray:
@@ -223,17 +239,303 @@ def assemble_full_potential(cfg: NetworkConfig, probes: ProbePair) -> QuadraticF
     V[im, 0] += probes.K
     V[1, in_] += probes.sign2 * probes.K
     V[in_, 1] += probes.sign2 * probes.K
-    return QuadraticForm(V)
+    return QuadraticForm(V, cfg, probes)
 
 
 def check_stability(qf: QuadraticForm) -> float:
     """Smallest eigenvalue of V; raises InstabilityError when <=
     DEFAULT_STABILITY_TOL.
 
-    The tolerance separates genuine zero modes from round-off: the form is
-    accepted for dynamics only if its spectrum clears it.
+    It is read off ``qf.modes``, the one eigensolve of the form, which the
+    engine then reuses: for an assembled form the two secular solves of
+    ``CompositeModes``, O(N^2), and no N x N eigensolve.  The tolerance
+    separates genuine zero modes from round-off: the form is accepted for
+    dynamics only if its spectrum clears it.
     """
-    min_eig = float(np.linalg.eigvalsh(qf.V)[0])
+    min_eig = float(qf.modes.values[0])
     if min_eig <= DEFAULT_STABILITY_TOL:
         raise InstabilityError(min_eig, DEFAULT_STABILITY_TOL)
     return min_eig
+
+
+# entries per chunk of a secular solve or a Cauchy product, so that a
+# chunk's temporaries stay in cache
+_CHUNK = 1 << 17
+# passes of a root iteration; the rational steps below need at most about
+# 5, and a step that leaves the root's bracket bisects it instead
+_PASSES = 60
+_EPS = np.finfo(float).eps
+
+
+def _chunks(n: int, width: int):
+    """Slices of range(n) with at most _CHUNK / width entries each."""
+    step = max(1, _CHUNK // max(width, 1))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def _secular_roots(alpha, z2, d):
+    """Roots of F(x) = x - alpha + sum_j z2_j / (d_j - x) for d strictly
+    ascending and z2 > 0: one below d_0, one in each gap and one above
+    d_-1.  Each root is returned as base + tau, base its nearer pole, so
+    that x - d_j = (base - d_j) + tau keeps its relative accuracy.
+
+    A chunk of roots is solved at once.  The first pass evaluates F at
+    the midpoint of each root's bracket, which picks the nearer pole.
+    Each pass then models F by the two poles around the root (the fixed
+    weight method of Li, LAPACK Working Note 89, 1994): the nearer pole
+    with its own weight, the other with the weight that matches F's
+    derivative, and a constant that matches its value, whose root is one
+    quadratic.  An edge root's outer pole is placed at twice its Weyl
+    bound, min(alpha, d_0) - |z| or max(alpha, d_-1) + |z|, and stands for
+    F's linear term.  A step outside the bracket that the signs of F have
+    left bisects it.  A root is done once a model step is below 1e-9 of
+    tau, after which the next would be below rounding (the steps converge
+    quadratically), or once its bracket is a few ulps wide."""
+    n = d.size
+    if n == 0:
+        return np.array([float(alpha)]), np.zeros(1)
+    span = math.sqrt(float(z2.sum()))
+    outer = 2.0 * (d[0] - min(alpha, d[0]) + span), 2.0 * (max(alpha, d[-1]) + span - d[-1])
+    base, tau = np.empty(n + 1), np.empty(n + 1)
+    for chunk in _chunks(n + 1, n):
+        k = np.arange(chunk.start, chunk.stop)
+        org, upper = np.clip(k - 1, 0, n - 1), np.minimum(k, n - 1)
+        left = np.where(k > 0, d[org], d[0] - outer[0])
+        right = np.where(k < n, d[upper], d[-1] + outer[1])
+        z2l, z2r, inner = z2[org], z2[upper], (k > 0) & (k < n)
+        # brackets relative to the origin d[org]
+        lo = np.where(k == 0, -0.5 * outer[0], 0.0)
+        hi = np.where(k == 0, 0.0, np.where(k == n, 0.5 * outer[1], right - left))
+        t = 0.5 * (lo + hi)
+        live = np.ones(k.size, bool)
+        for first in [True] + [False] * (_PASSES - 1):
+            a = np.flatnonzero(live)
+            if a.size == 0:
+                break
+            ta = t[a]
+            inv = d - d[org[a], None]
+            inv -= ta[:, None]
+            np.reciprocal(inv, out=inv)
+            psi = inv @ z2
+            inv *= inv
+            dF = 1.0 + inv @ z2
+            F = (d[org[a]] - alpha) + ta + psi
+            if first:
+                # a root above its gap's midpoint takes the upper pole
+                up = inner[a] & (F < 0)
+                gap = (right - left)[a]
+                org[a] += up
+                ta = np.where(up, ta - gap, ta)
+                lo[a] = np.where(up, -gap, lo[a])
+                hi[a] = np.where(up, 0.0, hi[a])
+            lo[a] = np.where(F < 0, ta, lo[a])
+            hi[a] = np.where(F > 0, ta, hi[a])
+            o = org[a]
+            # the poles around the root relative to the origin (one is 0)
+            pl, pr = left[a] - d[o], right[a] - d[o]
+            dl, dr = pl - ta, pr - ta
+            # model c + s / (pl - t) + S / (pr - t)
+            near_l = o != k[a]
+            s = np.where(near_l, z2l[a], (dF - z2r[a] / (dr * dr)) * dl * dl)
+            S = np.where(near_l, (dF - z2l[a] / (dl * dl)) * dr * dr, z2r[a])
+            c = F - s / dl - S / dr
+            b = c * (pl + pr) + s + S
+            q = s * pr + S * pl
+            step = 2.0 * q / (b + np.sqrt(b * b - 4.0 * c * q))
+            # a last step may round past the bracket end it converged to
+            close = np.abs(step - ta) <= 1e-9 * np.abs(ta)
+            step = np.where(close, np.clip(step, lo[a], hi[a]), step)
+            bad = ~close & ~((step > lo[a]) & (step < hi[a]))
+            step[bad] = 0.5 * (lo[a] + hi[a])[bad]
+            t[a] = np.where(F == 0.0, ta, step)
+            live[a] = ~close & (F != 0.0) & (hi[a] - lo[a] > 4.0 * _EPS * np.abs(step))
+        base[chunk], tau[chunk] = d[org], t
+    return base, tau
+
+
+class Arrowhead:
+    """Eigenpairs of the symmetric arrowhead A = [[alpha, z^T], [z,
+    diag(d)]], d ascending, in O(n^2) without forming an eigenvector
+    matrix.
+
+    Poles closer than the deflation tolerance tol = 8 eps ||A|| are first
+    turned (Givens) so that one of them carries their border, and a pole
+    whose border is at most tol is an eigenpair (d_j, e_j) as it stands.
+    The other eigenvalues are the roots x of the secular equation
+    (``_secular_roots``), with eigenvectors [1; zh / (x - d)] normalized,
+    where zh is the border recomputed from the roots (Gu & Eisenstat,
+    SIAM J. Matrix Anal. Appl. 16 (1995) 172), so the computed vectors
+    are orthogonal to working accuracy.  ``values`` are ascending, and
+    Q, the matrix of eigenvectors in that order, is applied by ``rmul``
+    and ``mul`` a chunk of Cauchy entries at a time.
+    """
+
+    def __init__(self, alpha, z, d):
+        z, d = np.array(z, dtype=float), np.asarray(d, dtype=float)
+        tol = 8.0 * _EPS * max(abs(alpha), np.abs(d).max(initial=0.0), np.linalg.norm(z))
+        # (a, c, s): coordinate a + 1 keeps the border r of a and a + 1
+        self._turns = []
+        for j in np.flatnonzero(np.diff(d) <= tol):
+            r = math.hypot(z[j], z[j + 1])
+            if r > 0.0:
+                self._turns.append((j + 1, z[j + 1] / r, z[j] / r))
+                z[j], z[j + 1] = 0.0, r
+        live = np.abs(z) > tol
+        self._live, self._dead = np.flatnonzero(live) + 1, np.flatnonzero(~live) + 1
+        self._d = d[live]
+        self._base, self._tau = _secular_roots(alpha, z[live] ** 2, self._d)
+        zh = np.empty(self._d.size)
+        for rows in _chunks(zh.size, zh.size + 1):
+            zh[rows] = self._recomputed_border(rows)
+        self._zh = np.copysign(zh, z[live])
+        self._scale = np.empty(self._tau.size)
+        for roots in _chunks(self._tau.size, zh.size):
+            C = self._cauchy(roots)
+            C *= C
+            self._scale[roots] = 1.0 / np.sqrt(1.0 + C @ (self._zh * self._zh))
+        values = np.concatenate([self._base + self._tau, d[self._dead - 1]])
+        order = np.argsort(values, kind="stable")
+        self.values = values[order]
+        cols = np.empty_like(order)
+        cols[order] = np.arange(order.size)
+        self._root_cols, self._dead_cols = cols[: self._tau.size], cols[self._tau.size :]
+
+    def _cauchy(self, roots):
+        """1 / (x_l - d_j) for the roots l in the slice ``roots`` and every
+        live pole j."""
+        C = self._base[roots, None] - self._d
+        C += self._tau[roots, None]
+        return np.reciprocal(C, out=C)
+
+    def _recomputed_border(self, rows):
+        """|zh_j| for the live poles j in the slice ``rows``: zh_j^2 =
+        -prod_l (x_l - d_j) / prod_(i != j) (d_i - d_j), as the product of
+        the ratios (x_(i+1) - d_j) / (d_i - d_j), i != j, below 1 for i < j
+        and above 1 for i > j, times -(x_0 - d_j) (x_(j+1) - d_j)."""
+        d, r = self._d, np.arange(rows.stop - rows.start)
+        j = r + rows.start
+        ratio = self._base[1:] - d[j, None]
+        ratio += self._tau[1:]
+        ends = -ratio[r, j] * ((self._base[0] - d[j]) + self._tau[0])
+        gaps = d - d[j, None]
+        gaps[r, j] = ratio[r, j]
+        ratio /= gaps
+        return np.sqrt(ends * np.prod(ratio, axis=1))
+
+    def _turn(self, A, forward: bool):
+        """The Givens turns applied to the columns of A (``forward``: a row
+        vector in A's coordinates to the turned ones) or, undone in
+        reverse order, to its rows (coefficients in the turned coordinates
+        back to A's); in place."""
+        if forward:
+            for a, c, s in self._turns:
+                A[:, a], A[:, a + 1] = c * A[:, a] - s * A[:, a + 1], s * A[:, a] + c * A[:, a + 1]
+        else:
+            for a, c, s in reversed(self._turns):
+                A[a], A[a + 1] = c * A[a] + s * A[a + 1], c * A[a + 1] - s * A[a]
+
+    def rmul(self, R):
+        """R Q for rows R (k x (n + 1)) in A's coordinates."""
+        R = np.array(R, dtype=float, ndmin=2)
+        self._turn(R, True)
+        out = np.empty(R.shape)
+        out[:, self._dead_cols] = R[:, self._dead]
+        head, Rz = R[:, :1], R[:, self._live] * self._zh
+        for roots in _chunks(self._tau.size, self._d.size):
+            out[:, self._root_cols[roots]] = (head + Rz @ self._cauchy(roots).T) * self._scale[roots]
+        return out
+
+    def mul(self, X):
+        """Q X for X ((n + 1) x c), rows in the order of ``values``."""
+        X = np.asarray(X, dtype=float)
+        Xr = X[self._root_cols] * self._scale[:, None]
+        Y = np.empty(X.shape)
+        Y[0] = Xr.sum(axis=0)
+        Y[self._dead] = X[self._dead_cols]
+        for poles in _chunks(self._d.size, self._tau.size):
+            C = self._d[poles, None] - self._base
+            C -= self._tau
+            np.negative(np.reciprocal(C, out=C), out=C)
+            Y[self._live[poles]] = self._zh[poles, None] * (C @ Xr)
+        self._turn(Y, False)
+        return Y
+
+
+def _to_local(Y, network: NetworkConfig):
+    """B^T Y for B = diag(I_2, O_chain) of ``network``; in place."""
+    Y[2:] = chain_normal_modes(network)[1].T @ Y[2:]
+    return Y
+
+
+class DenseModes:
+    """Eigenvalues ``values`` (ascending) and eigenvectors ``O`` of a form
+    from one dense ``eigh``."""
+
+    def __init__(self, values, O):
+        self.values, self.dense = values, O
+
+    def left(self, R):
+        """R O for rows R (k x N) in site coordinates."""
+        return np.asarray(R) @ self.dense
+
+    def local_product(self, U, network: NetworkConfig):
+        """B^T O U, B = diag(I_2, O_chain) the local basis of ``network``."""
+        return _to_local(self.dense @ U, network)
+
+
+class CompositeModes(DenseModes):
+    """Normal modes of an assembled form from the chain's closed-form
+    modes and two nested arrowheads, in O(N^2).
+
+    In the local basis B = diag(I_2, O_chain), B^T V B is diag(Omega^2)
+    with a border row for each probe.  Probe 1 bordering diag(Omega^2) is
+    one arrowhead; probe 2 bordering its eigenvalues, with its border
+    turned into that arrowhead's eigenvectors, is the second.  The
+    eigenvectors W of B^T V B (O = B W) are never formed on the run path:
+    ``left`` gives rows R O and ``local_product`` B^T O U = W U from
+    chunked Cauchy products, O(N^2) per row or column.  ``dense`` forms
+    O on first use, in O(N^3)."""
+
+    def __init__(self, V, network: NetworkConfig, probes: ProbePair):
+        omegas, rows = chain_normal_modes(network, (probes.site_m, probes.site_n))
+        self.network = network
+        self._inner = Arrowhead(V[0, 0], probes.K * rows[0], omegas**2)
+        border = np.concatenate([[V[1, 0]], probes.sign2 * probes.K * rows[1]])
+        self._outer = Arrowhead(V[1, 1], self._inner.rmul(border)[0], self._inner.values)
+        self.values = self._outer.values
+
+    def _rows(self, R):
+        """R W for rows R (k x N) in the local basis."""
+        inner = self._inner.rmul(np.delete(R, 1, axis=1))
+        return self._outer.rmul(np.column_stack([R[:, 1], inner]))
+
+    def _product(self, U):
+        """W U for U (N x c)."""
+        Y = self._outer.mul(U)
+        Z = self._inner.mul(Y[1:])
+        return np.concatenate([Z[:1], Y[:1], Z[1:]])
+
+    def left(self, R):
+        R = np.array(R, dtype=float, ndmin=2)
+        # R B: only the chain sites R touches take their rows of O_chain
+        sites = np.flatnonzero(np.any(R[:, 2:] != 0.0, axis=0))
+        local = np.zeros(R.shape)
+        local[:, :2] = R[:, :2]
+        if sites.size:
+            local[:, 2:] = R[:, 2 + sites] @ chain_normal_modes(self.network, sites + 1)[1]
+        return self._rows(local)
+
+    def local_product(self, U, network: NetworkConfig):
+        same = network is self.network or (
+            network.coupling_matrix is None
+            and self.network.coupling_matrix is None
+            and network.M == self.network.M
+        )
+        return self._product(U) if same else _to_local(self.dense @ U, network)
+
+    @cached_property
+    def dense(self):
+        """O = B W, formed on first use."""
+        O = self._product(np.eye(self.values.size))
+        O[2:] = chain_normal_modes(self.network)[1] @ O[2:]
+        return O

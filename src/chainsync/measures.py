@@ -20,10 +20,13 @@ from .errors import NonPhysical
 MIN_WINDOW_SAMPLES = 8
 _VAR_FLOOR = 1e-30
 # Round-off moves a pure state's symplectic eigenvalues off 1/2 by up to
-# 8.8e-14 unsqueezed (fig6 at t = 0, M = 2000), plus up to 2.4 eps
-# max|sigma_ij|^2 from the cancellation in the determinants once a squeezed
-# axis has turned (free probes, |r| <= 5.5).  An eigenvalue within the
-# slack _NU_SLACK + _NU_SLACK_GAIN eps max|sigma_ij|^2 of 1/2 reads as 1/2.
+# 7e-15 unsqueezed (fig6 at t = 0, r = 0 and M = 300 to 5000, from the
+# orthogonal composite modes of ``lattice.CompositeModes``; a dense eigh's
+# modes, orthogonal only to about N eps, moved them by 1.5e-13 at M =
+# 3000), plus up to 2.4 eps max|sigma_ij|^2 from the cancellation in the
+# determinants once a squeezed axis has turned (free probes, |r| <= 5.5).
+# An eigenvalue within the slack _NU_SLACK + _NU_SLACK_GAIN eps
+# max|sigma_ij|^2 of 1/2 reads as 1/2.
 # The nearest true departure on the presets, 2.7e-13 (appB_sweep's joint
 # state at t = 0.2), is above its slack of 1.0e-13.  E moves by at most
 # twice the slack, an entropy by at most slack (1 + ln(1 / slack)).

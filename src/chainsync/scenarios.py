@@ -9,7 +9,6 @@ state (no clock, no RNG).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -49,9 +48,11 @@ SECTIONS = ("network", "probes", "initial", "measure", "run")
 # ceiling on horizon / dt and horizon / dt_cov, about 16 times the 60,000 mean
 # samples of the longest preset; a run's arrays grow linearly with it
 MAX_SAMPLES = 1_000_000
-# ceiling on M: a run holds a few dense (M + 2)^2 arrays at once (V, the modes
-# O, W^T = B^T O and a ground-state block), 800 MB each at this size; no
-# (2M + 4)^2 array is formed
+# ceiling on M: a run holds one dense (M + 2)^2 array, the potential V (800 MB
+# at this size), and solves its modes in O(M^2) from the chain's closed-form
+# modes; no other N x N or (2M + 4)^2 array is formed.  fig5 with its default
+# horizon on a 2-vCPU box (run_scenario wall time, peak ru_maxrss):
+#     M = 300: 0.2 s, 44 MiB;  M = 2000: 0.65 s, 65 MiB;  M = 3000: 1.0 s, 108 MiB
 MAX_SITES = 10_000
 # squeezing spreads a probe's variances over e^(-2r) .. e^(2r); a symplectic
 # eigenvalue read off them is off its vacuum value 1/2 by up to 2.4 eps
@@ -551,6 +552,9 @@ def _write_outputs(spec, out_dir, files, record_name, fields, summary) -> RunRec
     config_hash and preset, followed by ``fields``.  A failure while
     writing removes every file written before re-raising.
     """
+    # hashlib loads OpenSSL, a few ms of every start-up that only writing needs
+    import hashlib
+
     from . import __version__
 
     out = Path(out_dir if out_dir is not None else spec.run.out)

@@ -2,11 +2,17 @@
 
 Stepping the full 2N x 2N covariance through a symplectic map costs
 O(N^3) per output sample, which is wasteful when only the two probe modes
-are observed.  This engine diagonalizes the potential once with
-``dynamics.spectrum``, which also checks stability and leaves the smallest
-eigenvalue on the engine as ``min_eigenvalue``.  It rotates the initial
-mean into normal coordinates and then evaluates probe means and
-probe-block covariances at arbitrary times directly.
+are observed.  This engine takes the normal modes of the potential from
+``dynamics.spectrum``, the form's one eigensolve, which also checks
+stability and leaves the smallest eigenvalue on the engine as
+``min_eigenvalue``.  For a form from ``lattice.assemble_full_potential``
+that solve is O(N^2) (``lattice.CompositeModes``), and the modes O are
+read only as products: the rows of O at the probes and the sites they
+couple to, the initial mean in normal coordinates, and B^T O U for the
+covariance basis below.  No N x N array of modes is formed unless
+``state_at`` or the whole-space basis asks for O itself.  The engine then
+evaluates probe means and probe-block covariances at arbitrary times
+directly.
 
 Per-sample cost.  Times are taken in blocks: on a uniform grid a block's
 phasors z = exp(i nu t) are the cached exp(i nu k h) rotated by the
@@ -26,8 +32,9 @@ covariance read and kept while a convergence test of its shift grid,
 the midpoint leak, passes, in O(N r k).  H in Delta = Q H Q^T is formed
 in the state's local basis B = diag(I_2, O_chain) (site coordinates
 s = B l), where its covariance C = B^T Sigma0 B is diagonal, from
-B^T O U, in O(N^2 r), with O_chain's rows formed from the state's
-network a block at a time, so Sigma0 is never formed.  A
+B^T O U, which the composite modes give as W U in O(N^2 r), so Sigma0 is
+never formed.  A grid whose leak fails is refined once, by its
+geometric midpoints, before the engine takes the whole space.  A
 ``GaussianState`` is arbitrary and always takes the whole space (Q = I),
 at O(N^3) once and O(N^2) per sample.  A reader of means alone never
 touches B or C.
@@ -50,7 +57,7 @@ import numpy as np
 from .dynamics import (
     GaussianState, ProductState, phase_map, phasor_sum_blocks, phasor_sums, spectrum, symmetrize
 )
-from .lattice import QuadraticForm, chain_normal_modes
+from .lattice import QuadraticForm
 
 # shifts s^2 of the resolvent basis.  Delta's x and p blocks are
 # differences of V^{-1/2} and V^{1/2} at two forms that differ on the probe
@@ -62,7 +69,10 @@ from .lattice import QuadraticForm, chain_normal_modes
 # whose (nu_max / nu_min)^2 is about 31, 16 to 18 shifts reproduce Delta
 # to round-off.  With 32, _LEAK_GAIN keeps the basis for omega0 down to
 # 0.05 at M = 60 and M = 2000 and down to 0.1 at M = 300 (g = 1.2, spreads
-# of about 850, 1,800 and 475), and takes the whole space beyond.
+# of about 850, 1,800 and 475).  Below that the grid is refined once to
+# its 63 shifts and geometric midpoints, whose leak reads at most 0.02
+# N^2 eps for omega0 down to 0.002 at M = 60, 300 and 2000 (bases of 52 to
+# 94 columns); only a refined grid that still leaks takes the whole space.
 _SHIFTS = 32
 # the grid runs two decades past the spectrum at both ends; beyond it the
 # resolvent is its series in s^2 / nu^2 or nu^2 / s^2, whose leading terms
@@ -106,13 +116,24 @@ class NormalModeTrajectory:
     def __init__(self, qf: QuadraticForm, state: GaussianState | ProductState):
         if state.n_modes != qf.dim:
             raise ValueError("state and potential dimensions differ")
-        self.nu, self.O, self.min_eigenvalue = spectrum(qf)
+        self.nu, self._modes, self.min_eigenvalue = spectrum(qf)
         N = qf.dim
-        # the probes and the sites the form couples them to
-        self._sites = np.flatnonzero(np.any(qf.V[:2] != 0.0, axis=0))
-        self._y0 = self.O.T @ state.mean[:N]
-        self._pi0 = self.O.T @ state.mean[N:]
+        # the rows of O at the probes and the sites the form couples them
+        # to, and the initial mean in normal coordinates, from one product
+        sites = np.flatnonzero(np.any(qf.V[:2] != 0.0, axis=0))
+        R = np.zeros((sites.size + 2, N))
+        R[np.arange(sites.size), sites] = 1.0
+        R[-2:] = state.mean.reshape(2, N)
+        rows = self._modes.left(R)
+        self._site_rows, self._y0, self._pi0 = rows[:-2], rows[-2], rows[-1]
         self._state = state
+
+    @property
+    def O(self) -> np.ndarray:
+        """The normal modes in site coordinates, V = O diag(nu^2) O^T: an
+        N x N array formed on first use, which only ``state_at`` and the
+        whole-space basis read."""
+        return self._modes.dense
 
     @property
     def n_modes(self) -> int:
@@ -122,7 +143,7 @@ class NormalModeTrajectory:
         """Coefficients of ``phasor_sums`` for the probe trajectories
         (x1, x2, p1, p2) started at each column of the normal-coordinate
         moments (Y; P): (N, 4 * columns), grouped by probe coordinate."""
-        rows, nu = self.O[:2].T[:, :, None], self.nu[:, None]
+        rows, nu = self._site_rows[:2].T[:, :, None], self.nu[:, None]
         # x = Re(z a) and p = Re(z (pi + i nu y)) with a = y - i pi / nu
         a = Y - 1j * P / nu
         coef = np.concatenate([rows * a[:, None], rows * (P + 1j * nu * Y)[:, None]], 1)
@@ -133,15 +154,17 @@ class NormalModeTrajectory:
         out = phasor_sums(self.nu, times, self._probe_coef(self._y0[:, None], self._pi0[:, None]))
         return out[:, :2], out[:, 2:]
 
-    def _resolvent_basis(self):
+    def _resolvent_basis(self, refined: bool = False):
         """(U, leak): orthonormal U (N x r) spanning the normal-coordinate
         site vectors O[sites]^T and diag(1 / (nu^2 + s^2)) O[sites]^T at
-        the _SHIFTS shifts, from one thin SVD, and the midpoint leak, the
+        the _SHIFTS shifts, or with ``refined`` at those and their
+        geometric midpoints, from one thin SVD, and the midpoint leak, the
         largest norm of (I - U U^T) a over the unit resolvent columns a at
         the geometric midpoints of the shifts, in O(N r k)."""
         nu2 = self.nu**2
-        R = self.O[self._sites].T
-        shifts = np.geomspace(nu2.min() / _SHIFT_MARGIN, _SHIFT_MARGIN * nu2.max(), _SHIFTS)
+        R = self._site_rows.T
+        count = 2 * _SHIFTS - 1 if refined else _SHIFTS
+        shifts = np.geomspace(nu2.min() / _SHIFT_MARGIN, _SHIFT_MARGIN * nu2.max(), count)
         A = np.concatenate([R, *(R / (nu2 + s)[:, None] for s in shifts)], 1)
         A /= np.linalg.norm(A, axis=0)
         U, sv, _ = np.linalg.svd(A, full_matrices=False)
@@ -165,29 +188,27 @@ class NormalModeTrajectory:
         """(U, H, basis, leak) with Delta = Q H Q^T for Q = diag(U, U).
 
         A ``ProductState`` keeps the resolvent basis U (``basis`` = 2r)
-        while its midpoint ``leak`` is at most _LEAK_GAIN N^2 eps, and
-        takes the whole space (U = I, ``basis`` = ``"full"``) otherwise; H
-        comes from B^T O U = [Y[:2]; O_chain^T Y[2:]], Y = O U, in O(N^2 r).
+        while its midpoint ``leak`` is at most _LEAK_GAIN N^2 eps, trying
+        the refined grid of 2 _SHIFTS - 1 shifts before it takes the whole
+        space (U = I, ``basis`` = ``"full"``); H comes from B^T O U, which
+        an assembled form's modes give without forming O, in O(N^2 r).
         A ``GaussianState`` always takes the whole space, with a nan
         ``leak``: the leak does not depend on the state, and only the
         product structure puts Delta on the resolvent vectors."""
-        nu, O, state = self.nu, self.O, self._state
+        nu, state = self.nu, self._state
         N = nu.size
         if isinstance(state, GaussianState):
-            U, leak, full, Y = np.eye(N), np.nan, True, O
+            U, leak, full, Y = np.eye(N), np.nan, True, self.O
             C = [state.cov[:N, :N], state.cov[:N, N:], state.cov[N:, N:]]
         else:
+            bound = _LEAK_GAIN * N**2 * np.finfo(float).eps
             U, leak = self._resolvent_basis()
-            full = leak > _LEAK_GAIN * N**2 * np.finfo(float).eps
+            if leak > bound:
+                U, leak = self._resolvent_basis(refined=True)
+            full = leak > bound
             if full:
                 U = np.eye(N)
-            Y = O @ U
-            # O_chain^T Y[2:], one block of chain rows at a time
-            Z = np.zeros_like(Y[2:])
-            for lo in range(0, N - 2, _ROWS):
-                rows = chain_normal_modes(state.network, range(lo + 1, min(lo + _ROWS, N - 2) + 1))[1]
-                Z += rows.T @ Y[2 + lo : 2 + lo + rows.shape[0]]
-            Y[2:] = Z
+            Y = self._modes.local_product(U, state.network)
             C = [state.var_x, state.cov_xp, state.var_p]
         H = [
             ((Y.T @ S if S.ndim == 2 else Y.T * S) @ Y) - (0.0 if g is None else (U.T * g) @ U)
@@ -219,7 +240,7 @@ class NormalModeTrajectory:
         O(N^2) per sample, like the dense product B Sigma0 B^T."""
         times = np.asarray(times, dtype=float)
         U, H = self._moving_part[:2]
-        rows, nu = self.O[:2], self.nu
+        rows, nu = self._site_rows[:2], self.nu
         out = np.zeros((times.size, 4, 4))
         out[:, :2, :2] = (rows / (2.0 * nu)) @ rows.T
         out[:, 2:, 2:] = (rows * (0.5 * nu)) @ rows.T

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import chainsync
@@ -154,3 +158,57 @@ def test_the_package_imports_no_process_pool():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
     assert imported & {"concurrent", "multiprocessing"} == set()
+
+
+_IMPORTS = """
+import json, sys
+import numpy
+before = set(sys.modules)
+import chainsync
+print(json.dumps([sorted(before), sorted(set(sys.modules) - before)]))
+"""
+
+
+# every fresh interpreter pays for what ``import chainsync`` loads, and the
+# benchmark's set-up time starts there: a heavy dependency (scipy adds
+# about 0.2 s, numpy.testing 40 ms) would cost more than the set-up itself
+def test_importing_the_package_loads_only_the_stdlib_beyond_numpy():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", _IMPORTS], capture_output=True, text=True,
+                          env=env, check=True)
+    numpy_set, added = json.loads(done.stdout)
+    loaded = set(numpy_set) | set(added)
+    assert not {m for m in loaded if m.partition(".")[0] in ("scipy", "numba", "numexpr")}
+    assert "numpy.testing" not in loaded
+    foreign = [
+        m for m in added
+        if m.partition(".")[0] not in sys.stdlib_module_names | {"chainsync", "numpy"}
+    ]
+    assert foreign == []
+    assert [m for m in added if m.partition(".")[0] == "numpy"] == []
+
+
+def _module_level_numpy_calls(path):
+    """numpy calls that run when ``path`` is imported: in its module and
+    class bodies, not inside a function."""
+    def statements(body):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from statements(node.body)
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node
+
+    for stmt in statements(ast.parse(path.read_text()).body):
+        for node in ast.walk(stmt):
+            func = getattr(node, "func", None)
+            while isinstance(func, ast.Attribute):
+                root, func = func, func.value
+            if isinstance(node, ast.Call) and getattr(func, "id", None) == "np":
+                yield f"{path.name}:{node.lineno} np.{root.attr}"
+
+
+# importing the package builds no arrays: constants are scalars
+# (np.finfo), and every array is formed by a call
+def test_importing_the_package_does_no_array_work():
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in _module_level_numpy_calls(path)]
+    assert [c for c in calls if not c.endswith("np.finfo")] == []

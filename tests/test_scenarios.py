@@ -26,6 +26,7 @@ from chainsync import (
     sync_series,
 )
 from chainsync import dynamics, lattice, modes, scenarios, trajectory
+from chainsync.cli import main
 from chainsync.errors import ConfigError
 from chainsync.scenarios import MAX_SAMPLES, MAX_SITES, read_config
 
@@ -556,6 +557,8 @@ def test_sweep_requires_sweepable_preset():
 
 
 def test_one_diagonalization_per_run_and_site(tmp_path, monkeypatch):
+    # the composite form is solved from the chain's closed-form modes, so
+    # no N x N eigh or eigvalsh runs on a run, a sweep or a validation
     calls, shapes = [], []
 
     def counting(fn):
@@ -566,34 +569,33 @@ def test_one_diagonalization_per_run_and_site(tmp_path, monkeypatch):
 
         return counted
 
+    eigvalsh = np.linalg.eigvalsh
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     spec = resolve_spec("fig2_dissipation", SMALL)
     data = simulate(spec)
-    assert calls == ["eigh"]
-    expected = check_stability(assemble_full_potential(spec.network, spec.probes))
-    assert data.min_eigenvalue == pytest.approx(expected, rel=1e-12)
+    assert calls == []
+    qf = assemble_full_potential(spec.network, spec.probes)
+    assert data.min_eigenvalue == pytest.approx(eigvalsh(qf.V)[0], rel=1e-12)
+    assert check_stability(qf) == pytest.approx(data.min_eigenvalue, rel=1e-12)
 
-    calls.clear()
     sweep = resolve_spec("appB_sweep", {"M": 24, "horizon": 40.0})
     sweep_plug_site(sweep, sites=[3, 4, 5], out_dir=tmp_path)
-    assert calls == ["eigh"] * 3
+    assert main(["validate", "--set", "preset=fig2_dissipation", "--set", "M=24"]) == 0
+    assert calls == []
 
-    # a custom network: its chain once, for the initial state and the probe
-    # modes, and then the composite form
+    # a custom network: one eigh of its chain, for the initial state and
+    # the probe modes, and none of the composite form
     rng = np.random.default_rng(4)
     A = np.triu(rng.uniform(0.0, 1.5, size=(12, 12)) * (rng.random((12, 12)) < 0.5), 1)
     spec = resolve_spec("custom", {"M": 12, "horizon": 60.0, "site_n": 7})
     network = NetworkConfig(M=12, omega0=0.4, g=1.2, coupling_matrix=A + A.T)
-    calls.clear()
     simulate(dataclasses.replace(spec, network=network))
-    assert calls == ["eigh"] * 2
-    assert sorted(shapes[-2:]) == [(12, 12), (14, 14)]
+    assert calls == ["eigh"] and shapes == [(12, 12)]
     # a second run of the same network reuses its chain's modes
     calls.clear()
-    shapes.clear()
     simulate(dataclasses.replace(spec, network=network))
-    assert calls == ["eigh"] and shapes == [(14, 14)]
+    assert calls == []
 
 
 def test_csv_writer_matches_per_value_formatter(tmp_path):
