@@ -309,9 +309,9 @@ def spectrum(qf: QuadraticForm):
     the form's one eigensolve ``qf.modes``: the two secular solves of
     ``lattice.CompositeModes`` for an assembled form, O(N^2), whose O is
     applied without being formed, and one ``eigh`` for a bare form.
-    ``check_stability`` reads the same solve: min_eig <=
-    DEFAULT_STABILITY_TOL raises InstabilityError, so every nu is at
-    least 1e-5."""
+    ``min_eig`` comes from ``check_stability`` first, O(M) for an
+    assembled form, so an unstable form raises InstabilityError before
+    it is solved, and every nu is at least 1e-5."""
     min_eig = check_stability(qf)
     return np.sqrt(qf.modes.values), qf.modes, min_eig
 

@@ -130,8 +130,8 @@ class QuadraticForm:
 
     @cached_property
     def modes(self):
-        """Eigenvalues and eigenvectors of V, solved on first use and kept,
-        so ``check_stability`` and ``dynamics.spectrum`` share one solve."""
+        """Eigenvalues and eigenvectors of V, solved on first use and kept
+        for every engine on the form (``dynamics.spectrum``)."""
         if self.network is None:
             values, O = np.linalg.eigh(self.V)
             return DenseModes(values, O)
@@ -246,13 +246,14 @@ def check_stability(qf: QuadraticForm) -> float:
     """Smallest eigenvalue of V; raises InstabilityError when <=
     DEFAULT_STABILITY_TOL.
 
-    It is read off ``qf.modes``, the one eigensolve of the form, which the
-    engine then reuses: for an assembled form the two secular solves of
-    ``CompositeModes``, O(N^2), and no N x N eigensolve.  The tolerance
-    separates genuine zero modes from round-off: the form is accepted for
-    dynamics only if its spectrum clears it.
+    For an assembled form it is the lowest root of the probes' 2 x 2
+    secular equation on the chain's closed-form modes
+    (``_lowest_eigenvalue``), O(M), with no eigensolve and without solving
+    ``qf.modes``; a bare form's is read off ``qf.modes``, its one
+    ``eigh``.  The tolerance separates genuine zero modes from round-off:
+    the form is accepted for dynamics only if its spectrum clears it.
     """
-    min_eig = float(qf.modes.values[0])
+    min_eig = float(qf.modes.values[0]) if qf.network is None else _lowest_eigenvalue(qf)
     if min_eig <= DEFAULT_STABILITY_TOL:
         raise InstabilityError(min_eig, DEFAULT_STABILITY_TOL)
     return min_eig
@@ -265,6 +266,65 @@ _CHUNK = 1 << 17
 # 5, and a step that leaves the root's bracket bisects it instead
 _PASSES = 60
 _EPS = np.finfo(float).eps
+
+
+def _lowest_eigenvalue(qf: QuadraticForm) -> float:
+    """Smallest eigenvalue of an assembled form in O(M).
+
+    In the chain's modes V is diag(d), d = Omega^2, bordered by the probe
+    block P and the probes' border rows a and b.  Below the lowest pole
+    d_L with a nonzero border, mu is an eigenvalue exactly where the
+    2 x 2 Schur complement S(mu) = P - mu - [a; b] (d - mu)^{-1} [a; b]^T
+    is singular, and f(mu) = lambda_min(S(mu)) falls strictly from +inf to
+    -inf, so the smallest eigenvalue is f's one root there, unless a pole
+    whose border is zero (an eigenvalue as it stands) is lower.  The root
+    is found as tau = mu - d_L from the Weyl bound upwards: each pass fits
+    f by c - tau + s / tau through its value and slope, whose root is one
+    quadratic, and bisects the bracket instead when that root leaves it.
+    It stops once f is within its round-off, in about 10 passes.
+    """
+    probes = qf.probes
+    omegas, rows = chain_normal_modes(qf.network, (probes.site_m, probes.site_n))
+    a, b, d = probes.K * rows[0], probes.sign2 * probes.K * rows[1], omegas**2
+    (p11, p12), (_, p22) = qf.V[:2, :2]
+    reach = np.linalg.norm(a) + np.linalg.norm(b)
+    live = np.maximum(np.abs(a), np.abs(b)) > 8.0 * _EPS * max(abs(p11), abs(p22), d[-1], reach)
+    lowest = d[~live].min(initial=np.inf)
+    if not live.any():
+        return min(lowest, 0.5 * (p11 + p22) - math.hypot(0.5 * (p11 - p22), p12))
+    d, a, b = d[live], a[live], b[live]
+    origin = d[0]
+    gaps = d - origin
+    lo = min(p11, p22, origin) - abs(p12) - reach - origin
+    hi, t = 0.0, lo
+    for _ in range(_PASSES):
+        inv = 1.0 / (gaps - t)
+        aa, bb = inv @ (a * a), inv @ (b * b)
+        s11, s22, s12 = p11 - origin - t - aa, p22 - origin - t - bb, p12 - inv @ (a * b)
+        h = 0.5 * (s11 - s22)
+        r = math.hypot(h, s12)
+        f = 0.5 * (s11 + s22) - r
+        if abs(f) <= 4.0 * _EPS * (abs(p11) + abs(p22) + abs(p12) + abs(origin + t) + aa + bb):
+            break
+        # the slope -1 - |(d - mu)^{-1} [a; b]^T v|^2 at the unit vector v of f
+        v = (r - h, -s12) if h <= 0.0 else (-s12, r + h)
+        norm = math.hypot(*v)
+        v0, v1 = (v[0] / norm, v[1] / norm) if norm > 0.0 else (1.0, 0.0)
+        w = (a * v0 + b * v1) * inv
+        s = (w @ w) * t * t
+        if f > 0.0:
+            lo = t
+        else:
+            hi = t
+        c = f + t - s / t
+        q = math.sqrt(c * c + 4.0 * s)
+        step = -2.0 * s / (c + q) if c > 0.0 else 0.5 * (c - q)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        t = step
+        if hi - lo <= 4.0 * _EPS * abs(t):
+            break
+    return min(origin + t, lowest)
 
 
 def _chunks(n: int, width: int):

@@ -52,7 +52,7 @@ MAX_SAMPLES = 1_000_000
 # at this size), and solves its modes in O(M^2) from the chain's closed-form
 # modes; no other N x N or (2M + 4)^2 array is formed.  fig5 with its default
 # horizon on a 2-vCPU box (run_scenario wall time, peak ru_maxrss):
-#     M = 300: 0.2 s, 44 MiB;  M = 2000: 0.65 s, 65 MiB;  M = 3000: 1.0 s, 108 MiB
+#     M = 300: 0.2 s, 44 MiB;  M = 2000: 0.65 s, 65 MiB;  M = 3000: 0.95 s, 107 MiB
 MAX_SITES = 10_000
 # squeezing spreads a probe's variances over e^(-2r) .. e^(2r); a symplectic
 # eigenvalue read off them is off its vacuum value 1/2 by up to 2.4 eps

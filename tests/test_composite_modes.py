@@ -123,6 +123,26 @@ def test_an_unstable_form_raises_with_the_eigvalsh_minimum():
         NormalModeTrajectory(qf, _initial_state(spec))
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_the_stability_check_solves_no_modes_and_matches_eigvalsh(preset):
+    # check_stability takes the lowest root of the probes' 2 x 2 secular
+    # equation in O(M): on every plug site, stable or not (K = 1.1 leaves
+    # about a third of them unstable), it agrees with eigvalsh and leaves
+    # the composite modes unsolved
+    spec = resolve_spec(preset, {"M": 40, "K": 1.1, "site_n": 1})
+    unstable = 0
+    for site in range(1, 41):
+        qf = assemble_full_potential(spec.network, dataclasses.replace(spec.probes, site_n=site))
+        ev = np.linalg.eigvalsh(qf.V)
+        try:
+            got = check_stability(qf)
+        except InstabilityError as err:
+            got, unstable = err.min_eigenvalue, unstable + 1
+        assert abs(got - ev[0]) <= 1e-12 * ev[-1]
+        assert "modes" not in vars(qf)
+    assert 0 < unstable < 40
+
+
 def test_an_arrowhead_deflates_zero_borders_and_equal_poles():
     d = np.array([0.5, 1.0, 1.0, 1.0, 2.0, 3.0])
     z = np.array([0.3, 0.2, 0.0, 0.4, 1e-17, 0.1])
