@@ -304,18 +304,6 @@ def phase_map(rows, nu, z):
     return out
 
 
-def spectrum(qf: QuadraticForm):
-    """Normal modes ``(nu, modes, min_eig)`` of V = O diag(nu^2) O^T from
-    the form's one eigensolve ``qf.modes``: the two secular solves of
-    ``lattice.CompositeModes`` for an assembled form, O(N^2), whose O is
-    applied without being formed, and one ``eigh`` for a bare form.
-    ``min_eig`` comes from ``check_stability`` first, O(M) for an
-    assembled form, so an unstable form raises InstabilityError before
-    it is solved, and every nu is at least 1e-5."""
-    min_eig = check_stability(qf)
-    return np.sqrt(qf.modes.values), qf.modes, min_eig
-
-
 def propagator(qf: QuadraticForm, t: float) -> SymplecticMap:
     """Exact phase-space propagator of H = p^T p / 2 + x^T V x / 2 for a
     stable form (an unstable one raises InstabilityError).
@@ -325,8 +313,9 @@ def propagator(qf: QuadraticForm, t: float) -> SymplecticMap:
     rotates the per-mode solution back to the site basis; the result
     satisfies S J S^T = J to round-off.
     """
-    nu, modes, _ = spectrum(QuadraticForm(qf.V))
-    O = modes.dense
+    bare = QuadraticForm(qf.V)
+    check_stability(bare)
+    nu, O = np.sqrt(bare.modes.values), bare.modes.dense
     D = phase_map(O, nu, np.exp(1j * (nu * t)))
     N = qf.dim
     return SymplecticMap(np.hstack([D[:, :N] @ O.T, D[:, N:] @ O.T]))

@@ -131,7 +131,8 @@ class QuadraticForm:
     @cached_property
     def modes(self):
         """Eigenvalues and eigenvectors of V, solved on first use and kept
-        for every engine on the form (``dynamics.spectrum``)."""
+        on the form: ``check_stability`` reads its lowest eigenvalue and
+        every engine on the form its modes, so they share one solve."""
         if self.network is None:
             values, O = np.linalg.eigh(self.V)
             return DenseModes(values, O)
@@ -243,17 +244,11 @@ def assemble_full_potential(cfg: NetworkConfig, probes: ProbePair) -> QuadraticF
 
 
 def check_stability(qf: QuadraticForm) -> float:
-    """Smallest eigenvalue of V; raises InstabilityError when <=
-    DEFAULT_STABILITY_TOL.
-
-    For an assembled form it is the lowest root of the probes' 2 x 2
-    secular equation on the chain's closed-form modes
-    (``_lowest_eigenvalue``), O(M), with no eigensolve and without solving
-    ``qf.modes``; a bare form's is read off ``qf.modes``, its one
-    ``eigh``.  The tolerance separates genuine zero modes from round-off:
-    the form is accepted for dynamics only if its spectrum clears it.
-    """
-    min_eig = float(qf.modes.values[0]) if qf.network is None else _lowest_eigenvalue(qf)
+    """Smallest eigenvalue of V, read off the form's modes ``qf.modes``
+    (kept on the form, so the check and every engine on it share one
+    solve); raises InstabilityError when it is <= DEFAULT_STABILITY_TOL,
+    which separates genuine zero modes from round-off."""
+    min_eig = float(qf.modes.values[0])
     if min_eig <= DEFAULT_STABILITY_TOL:
         raise InstabilityError(min_eig, DEFAULT_STABILITY_TOL)
     return min_eig
@@ -262,69 +257,10 @@ def check_stability(qf: QuadraticForm) -> float:
 # entries per chunk of a secular solve or a Cauchy product, so that a
 # chunk's temporaries stay in cache
 _CHUNK = 1 << 17
-# passes of a root iteration; the rational steps below need at most about
-# 5, and a step that leaves the root's bracket bisects it instead
+# passes of a root iteration, of which the rational steps below take about 4;
+# a root still live after them raises
 _PASSES = 60
 _EPS = np.finfo(float).eps
-
-
-def _lowest_eigenvalue(qf: QuadraticForm) -> float:
-    """Smallest eigenvalue of an assembled form in O(M).
-
-    In the chain's modes V is diag(d), d = Omega^2, bordered by the probe
-    block P and the probes' border rows a and b.  Below the lowest pole
-    d_L with a nonzero border, mu is an eigenvalue exactly where the
-    2 x 2 Schur complement S(mu) = P - mu - [a; b] (d - mu)^{-1} [a; b]^T
-    is singular, and f(mu) = lambda_min(S(mu)) falls strictly from +inf to
-    -inf, so the smallest eigenvalue is f's one root there, unless a pole
-    whose border is zero (an eigenvalue as it stands) is lower.  The root
-    is found as tau = mu - d_L from the Weyl bound upwards: each pass fits
-    f by c - tau + s / tau through its value and slope, whose root is one
-    quadratic, and bisects the bracket instead when that root leaves it.
-    It stops once f is within its round-off, in about 10 passes.
-    """
-    probes = qf.probes
-    omegas, rows = chain_normal_modes(qf.network, (probes.site_m, probes.site_n))
-    a, b, d = probes.K * rows[0], probes.sign2 * probes.K * rows[1], omegas**2
-    (p11, p12), (_, p22) = qf.V[:2, :2]
-    reach = np.linalg.norm(a) + np.linalg.norm(b)
-    live = np.maximum(np.abs(a), np.abs(b)) > 8.0 * _EPS * max(abs(p11), abs(p22), d[-1], reach)
-    lowest = d[~live].min(initial=np.inf)
-    if not live.any():
-        return min(lowest, 0.5 * (p11 + p22) - math.hypot(0.5 * (p11 - p22), p12))
-    d, a, b = d[live], a[live], b[live]
-    origin = d[0]
-    gaps = d - origin
-    lo = min(p11, p22, origin) - abs(p12) - reach - origin
-    hi, t = 0.0, lo
-    for _ in range(_PASSES):
-        inv = 1.0 / (gaps - t)
-        aa, bb = inv @ (a * a), inv @ (b * b)
-        s11, s22, s12 = p11 - origin - t - aa, p22 - origin - t - bb, p12 - inv @ (a * b)
-        h = 0.5 * (s11 - s22)
-        r = math.hypot(h, s12)
-        f = 0.5 * (s11 + s22) - r
-        if abs(f) <= 4.0 * _EPS * (abs(p11) + abs(p22) + abs(p12) + abs(origin + t) + aa + bb):
-            break
-        # the slope -1 - |(d - mu)^{-1} [a; b]^T v|^2 at the unit vector v of f
-        v = (r - h, -s12) if h <= 0.0 else (-s12, r + h)
-        norm = math.hypot(*v)
-        v0, v1 = (v[0] / norm, v[1] / norm) if norm > 0.0 else (1.0, 0.0)
-        w = (a * v0 + b * v1) * inv
-        s = (w @ w) * t * t
-        if f > 0.0:
-            lo = t
-        else:
-            hi = t
-        c = f + t - s / t
-        q = math.sqrt(c * c + 4.0 * s)
-        step = -2.0 * s / (c + q) if c > 0.0 else 0.5 * (c - q)
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        t = step
-        if hi - lo <= 4.0 * _EPS * abs(t):
-            break
-    return min(origin + t, lowest)
 
 
 def _chunks(n: int, width: int):
@@ -344,13 +280,15 @@ def _secular_roots(alpha, z2, d):
     Each pass then models F by the two poles around the root (the fixed
     weight method of Li, LAPACK Working Note 89, 1994): the nearer pole
     with its own weight, the other with the weight that matches F's
-    derivative, and a constant that matches its value, whose root is one
-    quadratic.  An edge root's outer pole is placed at twice its Weyl
-    bound, min(alpha, d_0) - |z| or max(alpha, d_-1) + |z|, and stands for
-    F's linear term.  A step outside the bracket that the signs of F have
-    left bisects it.  A root is done once a model step is below 1e-9 of
-    tau, after which the next would be below rounding (the steps converge
-    quadratically), or once its bracket is a few ulps wide."""
+    derivative, and a constant that matches its value; the model's root is
+    one quadratic in the step from the iterate.  An edge root's outer pole
+    is placed at twice its Weyl bound, min(alpha, d_0) - |z| or max(alpha,
+    d_-1) + |z|, and stands for F's linear term.  A root is done once the
+    step and the Newton step F / F' are both below 1e-9 of tau (the steps
+    converge quadratically), once F is zero to its rounding error, or once
+    its bracket is a few ulps wide.  A step that leaves the bracket the
+    signs of F have left, or stays put short of the root, bisects it; a
+    root still live after ``_PASSES`` raises LinAlgError."""
     n = d.size
     if n == 0:
         return np.array([float(alpha)]), np.zeros(1)
@@ -368,6 +306,7 @@ def _secular_roots(alpha, z2, d):
         hi = np.where(k == 0, 0.0, np.where(k == n, 0.5 * outer[1], right - left))
         t = 0.5 * (lo + hi)
         live = np.ones(k.size, bool)
+        last = np.zeros(k.size)  # F of the last pass
         for first in [True] + [False] * (_PASSES - 1):
             a = np.flatnonzero(live)
             if a.size == 0:
@@ -391,24 +330,39 @@ def _secular_roots(alpha, z2, d):
             lo[a] = np.where(F < 0, ta, lo[a])
             hi[a] = np.where(F > 0, ta, hi[a])
             o = org[a]
-            # the poles around the root relative to the origin (one is 0)
-            pl, pr = left[a] - d[o], right[a] - d[o]
-            dl, dr = pl - ta, pr - ta
-            # model c + s / (pl - t) + S / (pr - t)
+            # the iterate's distances to the poles around the root, and the
+            # model c + s / (dl - eta) + S / (dr - eta) in the step eta
+            dl, dr = (left[a] - d[o]) - ta, (right[a] - d[o]) - ta
             near_l = o != k[a]
             s = np.where(near_l, z2l[a], (dF - z2r[a] / (dr * dr)) * dl * dl)
             S = np.where(near_l, (dF - z2l[a] / (dl * dl)) * dr * dr, z2r[a])
             c = F - s / dl - S / dr
-            b = c * (pl + pr) + s + S
-            q = s * pr + S * pl
-            step = 2.0 * q / (b + np.sqrt(b * b - 4.0 * c * q))
+            # its root solves c eta^2 - b eta + q = 0, whose b and q do not
+            # cancel as eta -> 0: 2 q / (b + r) = (b - r) / (2 c), each taken
+            # where it does not cancel (a zero denominator bisects)
+            b, q = F * (dl + dr) - dl * dr * dF, F * dl * dr
+            r = np.sqrt(np.abs(b * b - 4.0 * c * q))
+            den = np.where(b > 0.0, b + r, 2.0 * c)
+            eta = np.where(b > 0.0, 2.0 * q, b - r) / np.where(den == 0.0, np.nan, den)
+            step = ta + eta
+            stays = np.abs(eta) <= 1e-9 * np.abs(ta)
+            done = stays & (np.abs(F) <= 1e-9 * np.abs(ta) * dF)
+            # where a root stalls (its step stays, or F keeps its sign and falls
+            # less than tenfold), F may be zero to its rounding error, 8 eps
+            # times the sum of its terms' magnitudes (as in LAPACK's dlaed4)
+            p, last[a] = F * last[a], F
+            flat, w = F == 0.0, np.flatnonzero(~done & (stays | (p > 0.0) & (p < 10.0 * F * F)))
+            if w.size:
+                size = np.sqrt(inv[w]) @ z2 + np.abs(d[o[w]] - alpha) + np.abs(ta[w])
+                flat[w] = np.abs(F[w]) <= 8.0 * _EPS * size
             # a last step may round past the bracket end it converged to
-            close = np.abs(step - ta) <= 1e-9 * np.abs(ta)
-            step = np.where(close, np.clip(step, lo[a], hi[a]), step)
-            bad = ~close & ~((step > lo[a]) & (step < hi[a]))
+            step = np.where(done, np.clip(step, lo[a], hi[a]), step)
+            bad = ~done & (stays | ~((step > lo[a]) & (step < hi[a])))
             step[bad] = 0.5 * (lo[a] + hi[a])[bad]
-            t[a] = np.where(F == 0.0, ta, step)
-            live[a] = ~close & (F != 0.0) & (hi[a] - lo[a] > 4.0 * _EPS * np.abs(step))
+            t[a] = np.where(flat, ta, step)
+            live[a] = ~done & ~flat & (hi[a] - lo[a] > 4.0 * _EPS * np.abs(step))
+        if live.any():
+            raise np.linalg.LinAlgError(f"secular roots did not converge in {_PASSES} passes")
         base[chunk], tau[chunk] = d[org], t
     return base, tau
 

@@ -2,17 +2,17 @@
 
 Stepping the full 2N x 2N covariance through a symplectic map costs
 O(N^3) per output sample, which is wasteful when only the two probe modes
-are observed.  This engine takes the normal modes of the potential from
-``dynamics.spectrum``, the form's one eigensolve, which also checks
-stability and leaves the smallest eigenvalue on the engine as
-``min_eigenvalue``.  For a form from ``lattice.assemble_full_potential``
-that solve is O(N^2) (``lattice.CompositeModes``), and the modes O are
-read only as products: the rows of O at the probes and the sites they
-couple to, the initial mean in normal coordinates, and B^T O U for the
-covariance basis below.  No N x N array of modes is formed unless
-``state_at`` or the whole-space basis asks for O itself.  The engine then
-evaluates probe means and probe-block covariances at arbitrary times
-directly.
+are observed.  This engine reads the normal modes of the potential from
+``qf.modes``, the form's one eigensolve, after ``lattice.check_stability``
+has read the smallest eigenvalue off the same solve (an unstable form
+raises there); the engine keeps it as ``min_eigenvalue``.  For a form
+from ``lattice.assemble_full_potential`` that solve is O(N^2)
+(``lattice.CompositeModes``), and the modes O are read only as products:
+the rows of O at the probes and the sites they couple to, the initial
+mean in normal coordinates, and B^T O U for the covariance basis below.
+No N x N array of modes is formed unless ``state_at`` or the whole-space
+basis asks for O itself.  The engine then evaluates probe means and
+probe-block covariances at arbitrary times directly.
 
 Per-sample cost.  Times are taken in blocks: on a uniform grid a block's
 phasors z = exp(i nu t) are the cached exp(i nu k h) rotated by the
@@ -55,9 +55,9 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
-    GaussianState, ProductState, phase_map, phasor_sum_blocks, phasor_sums, spectrum, symmetrize
+    GaussianState, ProductState, phase_map, phasor_sum_blocks, phasor_sums, symmetrize
 )
-from .lattice import QuadraticForm
+from .lattice import QuadraticForm, check_stability
 
 # shifts s^2 of the resolvent basis.  Delta's x and p blocks are
 # differences of V^{-1/2} and V^{1/2} at two forms that differ on the probe
@@ -116,7 +116,8 @@ class NormalModeTrajectory:
     def __init__(self, qf: QuadraticForm, state: GaussianState | ProductState):
         if state.n_modes != qf.dim:
             raise ValueError("state and potential dimensions differ")
-        self.nu, self._modes, self.min_eigenvalue = spectrum(qf)
+        self.min_eigenvalue, self._modes = check_stability(qf), qf.modes
+        self.nu = np.sqrt(self._modes.values)
         N = qf.dim
         # the rows of O at the probes and the sites the form couples them
         # to, and the initial mean in normal coordinates, from one product

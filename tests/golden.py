@@ -8,10 +8,12 @@ second probe at site 60 on the edge presets), fig4_edges once more with
 a delay of 30 (a whole multiple of dt and dt_cov), fig2 at full scale,
 the appB plug-site sweep at M = 40 over sites 1, 4, ..., 40, once as
 preset and once at K = 1.1, where sites 1, 4 and 7 are unstable and
-fail, and the custom preset on a seeded random coupling_matrix network of
-12 sites (horizon 60, second probe at site 7), each into its own folder
-of DIR.  chainsync is imported from the path, so the same script writes
-the set of any checkout.
+fail, fig5 at M = 150 with K = 1.1 and the second probe at site 130
+(horizon 200), whose lowest mode sits far below a chain pole with a tiny
+border, and the custom preset on a seeded random coupling_matrix network
+of 12 sites (horizon 60, second probe at site 7), each into its own
+folder of DIR.  chainsync is imported from the path, so the same script
+writes the set of any checkout.
 
 ``compare`` lists every file that is in one set only or differs between
 the two.  For a CSV it gives each changed column with the number of
@@ -38,6 +40,7 @@ RUN_DELAY = 30.0
 SWEEP_M = 40
 SWEEP_STEP = 3
 SWEEP_UNSTABLE_K = 1.1
+TINY_BORDER = {"M": 150, "K": 1.1, "site_n": 130}
 CUSTOM_M = 12
 CUSTOM_SEED = 4
 
@@ -61,6 +64,8 @@ def write(out) -> None:
     spec = resolve_spec("appB_sweep", {"M": SWEEP_M, "sweep_step": SWEEP_STEP,
                                        "K": SWEEP_UNSTABLE_K})
     sweep_plug_site(spec, out_dir=out / "appB_sweep_failing_sites")
+    spec = resolve_spec("fig5_entanglement_common", {**TINY_BORDER, "horizon": RUN_HORIZON})
+    run_scenario(spec, out_dir=out / "fig5_tiny_border")
     rng = np.random.default_rng(CUSTOM_SEED)
     A = np.triu(rng.uniform(0.0, 1.5, size=(CUSTOM_M, CUSTOM_M))
                 * (rng.random((CUSTOM_M, CUSTOM_M)) < 0.5), 1)

@@ -1,6 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from golden import compare, csv_changes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# fig2 at M = 60 and the appB sweep at M = 40 into the folder argv[1]
+WRITE = """
+import sys
+from chainsync import resolve_spec, run_scenario, sweep_plug_site
+run_scenario(resolve_spec("fig2_dissipation", {"M": 60}), out_dir=sys.argv[1] + "/fig2")
+spec = resolve_spec("appB_sweep", {"M": 40, "sweep_step": 3})
+sweep_plug_site(spec, out_dir=sys.argv[1] + "/appB_sweep")
+"""
 
 MEANS = "t,x1\n0.00000000000e+00,1.00000000000e+00\n2.00000000000e-02,2.50000000000e+00\n"
 
@@ -33,3 +48,18 @@ def test_compare_counts_a_one_digit_change_as_one_unit(tmp_path):
     ]
     (b / "run" / "record.txt").unlink()
     assert compare(a, b)[-1] == f"run/record.txt: only in {a}"
+
+
+def test_csvs_agree_across_blas_thread_counts(tmp_path):
+    # byte identity holds for one numpy/BLAS build, kernel and thread count;
+    # across thread counts a CSV value moves by at most 2 units of the last
+    # printed digit
+    sets = [tmp_path / threads for threads in ("1", "2")]
+    for out in sets:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=out.name, PYTHONPATH=str(SRC))
+        subprocess.run([sys.executable, "-c", WRITE, str(out)], env=env, check=True)
+    names = [sorted(p.relative_to(out) for p in out.rglob("*.csv")) for out in sets]
+    assert names[0] and names[0] == names[1]
+    for name in names[0]:
+        changes = csv_changes(sets[0] / name, sets[1] / name)
+        assert all(units <= 2 for _, units in changes.values()), (name, changes)

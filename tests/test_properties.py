@@ -1,6 +1,7 @@
 """Property tests: the config echo round trip, fuzzes of
-``validate --set KEY=TEXT`` and ``run --set ...``, and the trajectory
-engine on random stable quadratic forms."""
+``validate --set KEY=TEXT`` and ``run --set ...``, the composite modes and
+the stability check of random assembled forms, and the trajectory engine
+on random stable quadratic forms."""
 
 import contextlib
 import io
@@ -13,8 +14,13 @@ from hypothesis import strategies as st
 
 from chainsync import (
     GaussianState,
+    InstabilityError,
+    NetworkConfig,
     NormalModeTrajectory,
+    ProbePair,
     QuadraticForm,
+    assemble_full_potential,
+    check_stability,
     evolve,
     format_config,
     mean_energy,
@@ -25,6 +31,7 @@ from chainsync import (
 )
 from chainsync.cli import main
 from chainsync.errors import ConfigError, RangeError
+from chainsync.lattice import DEFAULT_STABILITY_TOL
 from chainsync.scenarios import KEY_SPECS, PRESETS, read_config
 
 from oracles import symplectic_defect
@@ -182,6 +189,54 @@ def test_run_set_fuzz_exits_with_a_documented_code(preset, M, horizon, settings_
         assert code in (0, 2, 3)
         if code != 0:
             assert not out.exists() or list(out.iterdir()) == []
+
+
+@st.composite
+def assembled_forms(draw):
+    """Keyword arguments of ``assembled``: a chain of at most 64 sites and
+    two probes on any of its sites, K up to 1.5 (often unstable)."""
+    M = draw(st.integers(2, 64))
+    positive = st.floats(0.05, 3.0)
+    return {
+        "M": M, "omega0": draw(st.floats(0.0, 2.0)), "g": draw(positive),
+        "omega1": draw(positive), "omega2": draw(positive),
+        "lam": draw(st.floats(0.0, 1.0)), "K": draw(st.floats(0.0, 1.5)),
+        "site_m": draw(st.integers(1, M)), "site_n": draw(st.integers(1, M)),
+        "sign2": draw(st.sampled_from([1, -1])),
+    }
+
+
+def assembled(M, omega0, g, **probes):
+    return assemble_full_potential(NetworkConfig(M, omega0, g), ProbePair(**probes))
+
+
+@FAST
+@given(assembled_forms())
+# fig5 with K = 1.1: the lowest root sits far below a pole with a tiny border
+@example({"M": 100, "omega0": 0.4, "g": 1.2, "omega1": 1.0, "omega2": 1.2, "lam": 0.0,
+          "K": 1.1, "site_m": 1, "site_n": 96, "sign2": 1})
+# weak coupling: roots within a few ulps of their poles
+@example({"M": 31, "omega0": 0.0025307050635829382, "g": 0.47527085752291953,
+          "omega1": 0.18619985863220054, "omega2": 3.0416397939701008,
+          "lam": 1.5592429629386233e-06, "K": 0.0006970915510164051, "site_m": 16,
+          "site_n": 26, "sign2": 1})
+# a chain of nearly equal frequencies (g ~ 1e-9): roots a few
+# ulps from clustered poles, where F stalls at its rounding error
+@example({"M": 38, "omega0": 0.044515271606897916, "g": 1.658321551956398e-09,
+          "omega1": 0.11033821093538952, "omega2": 0.023103221794292743, "lam": 0.0,
+          "K": 0.13937026431343086, "site_m": 36, "site_n": 12, "sign2": 1})
+def test_assembled_forms_match_eigvalsh_and_check_stability_by_it(params):
+    qf = assembled(**params)
+    ev = np.linalg.eigvalsh(qf.V)
+    top = np.max(np.abs(ev))
+    assert np.max(np.abs(qf.modes.values - ev)) <= 1e-12 * top
+    assume(abs(ev[0] - DEFAULT_STABILITY_TOL) > 1e-12 * top)
+    try:
+        check_stability(qf)
+        unstable = False
+    except InstabilityError:
+        unstable = True
+    assert unstable == (ev[0] <= DEFAULT_STABILITY_TOL)
 
 
 @st.composite
