@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UncertaintyViolation
-from .lattice import NetworkConfig, QuadraticForm, chain_normal_modes, check_stability
+from .lattice import ChainForm, NetworkConfig, QuadraticForm, chain_normal_modes, check_stability
 
 # time rows per block of ``phasor_sum_blocks``: one exact start phasor and
 # one slice of the cached table exp(i nu k h) per block
@@ -304,12 +304,12 @@ def phase_map(rows, nu, z):
     return out
 
 
-def propagator(qf: QuadraticForm, t: float) -> SymplecticMap:
+def propagator(qf: ChainForm | QuadraticForm, t: float) -> SymplecticMap:
     """Exact phase-space propagator of H = p^T p / 2 + x^T V x / 2 for a
     stable form (an unstable one raises InstabilityError).
 
-    Diagonalizes V once with a dense ``eigh``, whatever the form records
-    of its chain, so it stays an independent check of the engine, and
+    Diagonalizes V once with a dense ``eigh`` (a ``ChainForm`` forms its
+    V for it), so it stays an independent check of the engine, and
     rotates the per-mode solution back to the site basis; the result
     satisfies S J S^T = J to round-off.
     """
@@ -336,7 +336,7 @@ def reduce(state: GaussianState, modes) -> GaussianState:
     return GaussianState(state.mean[sel], state.cov[np.ix_(sel, sel)])
 
 
-def mean_energy(state: GaussianState, qf: QuadraticForm) -> float:
+def mean_energy(state: GaussianState, qf: ChainForm | QuadraticForm) -> float:
     """<H> = kinetic + potential, from both moments."""
     n = state.n_modes
     mx, mp = state.mean[:n], state.mean[n:]

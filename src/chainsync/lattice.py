@@ -9,6 +9,11 @@ frequency Omega_0 and stiffness g has the exact dispersion
     Omega_j^2 = Omega_0^2 + 4 g sin^2(pi j / (2 (M + 1))),   j = 1..M,
 
 diagonalized by the orthogonal sine transform.
+
+``assemble_full_potential`` returns a ``ChainForm``, the network and the
+probes alone: its modes come from the chain's closed-form modes, and its
+dense V is formed only when an oracle reads it.  ``QuadraticForm`` is a
+form given by a dense V, solved by one ``eigh``.
 """
 
 from __future__ import annotations
@@ -96,6 +101,10 @@ class ProbePair:
             raise ValueError(f"lambda must be non-negative, got {self.lam}")
         if self.sign2 not in (1, -1):
             raise ValueError(f"sign2 must be +1 or -1, got {self.sign2}")
+        # a whole-number site of any type indexes as an int; ``validate_sites``
+        # rejects the rest
+        for name, site in (("site_m", self.site_m), ("site_n", self.site_n)):
+            object.__setattr__(self, name, int(site) if site % 1 == 0 else site)
 
     def validate_sites(self, M: int):
         for name, site in (("site_m", self.site_m), ("site_n", self.site_n)):
@@ -105,20 +114,15 @@ class ProbePair:
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Symmetric potential matrix of the composite system.
+    """A quadratic form given by its dense symmetric potential matrix V,
+    the oracle the tests and ``dynamics.propagator`` check against.
 
-    ``V`` is (M+2) x (M+2); probes occupy rows 0 and 1, and chain site s
-    (1-based) is row s + 1.  An exactly symmetric float array is kept by
-    reference, with no copy; any other is replaced by its symmetric part.
-    ``assemble_full_potential`` also records the ``network`` and
-    ``probes`` that V was built from, and ``modes`` then comes from the
-    chain's closed-form modes (``CompositeModes``); a bare form's
-    ``modes`` is one dense ``eigh`` (``DenseModes``).
+    An exactly symmetric float array is kept by reference, with no copy;
+    any other is replaced by its symmetric part.  ``modes`` is one dense
+    ``eigh`` (``DenseModes``).
     """
 
     V: np.ndarray
-    network: NetworkConfig | None = field(default=None, repr=False, compare=False)
-    probes: ProbePair | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
@@ -128,36 +132,73 @@ class QuadraticForm:
     def dim(self) -> int:
         return self.V.shape[0]
 
+    @property
+    def coupled_sites(self) -> list:
+        """Rows 0 and 1 and every column their rows of V touch, ascending."""
+        return np.flatnonzero(np.any(self.V[:2] != 0.0, axis=0)).tolist()
+
     @cached_property
     def modes(self):
         """Eigenvalues and eigenvectors of V, solved on first use and kept
         on the form: ``check_stability`` reads its lowest eigenvalue and
         every engine on the form its modes, so they share one solve."""
-        if self.network is None:
-            values, O = np.linalg.eigh(self.V)
-            return DenseModes(values, O)
-        return CompositeModes(self.V, self.network, self.probes)
+        return DenseModes(*np.linalg.eigh(self.V))
+
+
+@dataclass(frozen=True)
+class ChainForm:
+    """The composite form of ``network`` with ``probes`` plugged in, held
+    as those two alone, its one source of truth.
+
+    Its potential V is (M+2) x (M+2); probes occupy rows 0 and 1, and
+    chain site s (1-based) is row s + 1.  ``modes`` come from the chain's
+    closed-form modes (``CompositeModes``) in O(N^2), and no entry of V is
+    read on the run path: the dense V is formed on first use, only for
+    the oracles (``dynamics.propagator``, ``dynamics.mean_energy``) and
+    the tests.
+    """
+
+    network: NetworkConfig
+    probes: ProbePair
+
+    @property
+    def dim(self) -> int:
+        return self.network.M + 2
+
+    @property
+    def coupled_sites(self) -> list:
+        """Rows 0 and 1 and, for K != 0, the rows of the plug sites."""
+        p = self.probes
+        return sorted({0, 1, 1 + p.site_m, 1 + p.site_n} if p.K != 0 else {0, 1})
+
+    @cached_property
+    def modes(self):
+        """The form's normal modes, solved on first use and kept on the
+        form, so ``check_stability`` and every engine share one solve."""
+        return CompositeModes(self.network, self.probes)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """The dense potential matrix, formed on first use."""
+        p = self.probes
+        V = np.zeros((self.dim, self.dim))
+        V[:2, :2] = [[p.omega1**2 + p.lam, -p.lam], [-p.lam, p.omega2**2 + p.lam]]
+        V[2:, 2:] = build_chain_potential(self.network)
+        V[[0, 1], [1 + p.site_m, 1 + p.site_n]] += (p.K, p.sign2 * p.K)
+        V[2:, :2] = V[:2, 2:].T
+        return V
 
 
 def build_chain_potential(cfg: NetworkConfig) -> np.ndarray:
     """Potential matrix of the environment network alone (M x M)."""
-    V = np.zeros((cfg.M, cfg.M))
-    _write_chain_potential(V, cfg)
-    return V
-
-
-def _write_chain_potential(out: np.ndarray, cfg: NetworkConfig) -> None:
-    """Write the chain's potential into the zeroed M x M array ``out``, the
-    homogeneous chain with no M x M temporary: its freed block is a heap
-    hole the composite N x N arrays cannot reuse (32 MB at M = 2000)."""
     if cfg.coupling_matrix is not None:
         A = cfg.coupling_matrix
         V = np.diag(cfg.omega0**2 + A.sum(axis=1)) - A
-        out[...] = 0.5 * (V + V.T)
-        return
-    i = np.arange(cfg.M)
-    out[i, i] = cfg.omega0**2 + 2.0 * cfg.g
-    out[i[:-1], i[1:]] = out[i[1:], i[:-1]] = -cfg.g
+        return 0.5 * (V + V.T)
+    V, i = np.zeros((cfg.M, cfg.M)), np.arange(cfg.M)
+    V[i, i] = cfg.omega0**2 + 2.0 * cfg.g
+    V[i[:-1], i[1:]] = V[i[1:], i[:-1]] = -cfg.g
+    return V
 
 
 def chain_dispersion(cfg: NetworkConfig) -> np.ndarray:
@@ -221,29 +262,18 @@ def revival_time(cfg: NetworkConfig) -> float:
     return 2.0 * cfg.M
 
 
-def assemble_full_potential(cfg: NetworkConfig, probes: ProbePair) -> QuadraticForm:
-    """Potential matrix of probes + network with bilinear plugging terms.
+def assemble_full_potential(cfg: NetworkConfig, probes: ProbePair) -> ChainForm:
+    """The composite form of probes + network with bilinear plugging
+    terms, as its parameters; no N x N array is formed.
 
     The probe-chain coupling K x X enters without a counter-term, so large
     K can destabilize the composite form; see ``check_stability``.
     """
     probes.validate_sites(cfg.M)
-    N = cfg.M + 2
-    V = np.zeros((N, N))
-    V[0, 0] = probes.omega1**2 + probes.lam
-    V[1, 1] = probes.omega2**2 + probes.lam
-    V[0, 1] = V[1, 0] = -probes.lam
-    _write_chain_potential(V[2:, 2:], cfg)
-    im = 1 + probes.site_m
-    in_ = 1 + probes.site_n
-    V[0, im] += probes.K
-    V[im, 0] += probes.K
-    V[1, in_] += probes.sign2 * probes.K
-    V[in_, 1] += probes.sign2 * probes.K
-    return QuadraticForm(V, cfg, probes)
+    return ChainForm(cfg, probes)
 
 
-def check_stability(qf: QuadraticForm) -> float:
+def check_stability(qf: ChainForm | QuadraticForm) -> float:
     """Smallest eigenvalue of V, read off the form's modes ``qf.modes``
     (kept on the form, so the check and every engine on it share one
     solve); raises InstabilityError when it is <= DEFAULT_STABILITY_TOL,
@@ -295,6 +325,8 @@ def _secular_roots(alpha, z2, d):
     span = math.sqrt(float(z2.sum()))
     outer = 2.0 * (d[0] - min(alpha, d[0]) + span), 2.0 * (max(alpha, d[-1]) + span - d[-1])
     base, tau = np.empty(n + 1), np.empty(n + 1)
+    # each pass writes its d - d[org] rows into this one buffer
+    buf = np.empty(min(n + 1, max(1, _CHUNK // n)) * n)
     for chunk in _chunks(n + 1, n):
         k = np.arange(chunk.start, chunk.stop)
         org, upper = np.clip(k - 1, 0, n - 1), np.minimum(k, n - 1)
@@ -312,7 +344,7 @@ def _secular_roots(alpha, z2, d):
             if a.size == 0:
                 break
             ta = t[a]
-            inv = d - d[org[a], None]
+            inv = np.subtract(d, d[org[a], None], out=buf[: a.size * n].reshape(a.size, n))
             inv -= ta[:, None]
             np.reciprocal(inv, out=inv)
             psi = inv @ z2
@@ -399,7 +431,8 @@ class Arrowhead:
         self._d = d[live]
         self._base, self._tau = _secular_roots(alpha, z[live] ** 2, self._d)
         zh = np.empty(self._d.size)
-        for rows in _chunks(zh.size, zh.size + 1):
+        # two temporaries per row, ratio and gaps, of one entry per root each
+        for rows in _chunks(zh.size, 2 * (zh.size + 1)):
             zh[rows] = self._recomputed_border(rows)
         self._zh = np.copysign(zh, z[live])
         self._scale = np.empty(self._tau.size)
@@ -510,12 +543,12 @@ class CompositeModes(DenseModes):
     chunked Cauchy products, O(N^2) per row or column.  ``dense`` forms
     O on first use, in O(N^3)."""
 
-    def __init__(self, V, network: NetworkConfig, probes: ProbePair):
-        omegas, rows = chain_normal_modes(network, (probes.site_m, probes.site_n))
-        self.network = network
-        self._inner = Arrowhead(V[0, 0], probes.K * rows[0], omegas**2)
-        border = np.concatenate([[V[1, 0]], probes.sign2 * probes.K * rows[1]])
-        self._outer = Arrowhead(V[1, 1], self._inner.rmul(border)[0], self._inner.values)
+    def __init__(self, network: NetworkConfig, probes: ProbePair):
+        p, self.network = probes, network
+        omegas, rows = chain_normal_modes(network, (p.site_m, p.site_n))
+        self._inner = Arrowhead(p.omega1**2 + p.lam, p.K * rows[0], omegas**2)
+        border = np.concatenate([[-p.lam], p.sign2 * p.K * rows[1]])
+        self._outer = Arrowhead(p.omega2**2 + p.lam, self._inner.rmul(border)[0], self._inner.values)
         self.values = self._outer.values
 
     def _rows(self, R):

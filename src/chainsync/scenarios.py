@@ -48,11 +48,11 @@ SECTIONS = ("network", "probes", "initial", "measure", "run")
 # ceiling on horizon / dt and horizon / dt_cov, about 16 times the 60,000 mean
 # samples of the longest preset; a run's arrays grow linearly with it
 MAX_SAMPLES = 1_000_000
-# ceiling on M: a run holds one dense (M + 2)^2 array, the potential V (800 MB
-# at this size), and solves its modes in O(M^2) from the chain's closed-form
-# modes; no other N x N or (2M + 4)^2 array is formed.  fig5 with its default
+# ceiling on M: a run forms no dense (M + 2)^2 array (the potential V is formed
+# only by the oracles) and solves its modes in O(M^2) from the chain's
+# closed-form modes, so time, not memory, sets it.  fig5 with its default
 # horizon on a 2-vCPU box (run_scenario wall time, peak ru_maxrss):
-#     M = 3000: 1.0 s, 108 MiB;  M = 5000: 2.0-2.6 s, 245 MiB;  M = 10,000: 8-11 s, 889 MiB
+#     M = 3000: 0.6-0.7 s, 72 MiB;  M = 5000: 1.2-1.5 s, 97 MiB;  M = 10,000: 4.4-5.1 s, 168 MiB
 MAX_SITES = 10_000
 # squeezing spreads a probe's variances over e^(-2r) .. e^(2r); a symplectic
 # eigenvalue read off them is off its vacuum value 1/2 by up to 2.4 eps
@@ -474,9 +474,12 @@ def _plateau_band(spec: ScenarioSpec):
 
 
 def _nanmedian(values) -> float:
-    values = np.asarray(values, dtype=float)
-    values = values[np.isfinite(values)]
-    return float(np.median(values)) if values.size else math.nan
+    """Median of the finite entries of a float array (nan if none): the
+    middle sorted value, or half the sum of the middle two, as np.median
+    takes it; np.median would import numpy.ma into every run."""
+    values = np.sort(values[np.isfinite(values)])
+    n = values.size
+    return float(0.5 * (values[(n - 1) // 2] + values[n // 2])) if n else math.nan
 
 
 def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:

@@ -7,8 +7,9 @@ are observed.  This engine reads the normal modes of the potential from
 has read the smallest eigenvalue off the same solve (an unstable form
 raises there); the engine keeps it as ``min_eigenvalue``.  For a form
 from ``lattice.assemble_full_potential`` that solve is O(N^2)
-(``lattice.CompositeModes``), and the modes O are read only as products:
-the rows of O at the probes and the sites they couple to, the initial
+(``lattice.CompositeModes``), no entry of V is read (the form names the
+sites it couples the probes to, ``qf.coupled_sites``), and the modes O
+are read only as products: the rows of O at those sites, the initial
 mean in normal coordinates, and B^T O U for the covariance basis below.
 No N x N array of modes is formed unless ``state_at`` or the whole-space
 basis asks for O itself.  The engine then evaluates probe means and
@@ -57,7 +58,7 @@ import numpy as np
 from .dynamics import (
     GaussianState, ProductState, phase_map, phasor_sum_blocks, phasor_sums, symmetrize
 )
-from .lattice import QuadraticForm, check_stability
+from .lattice import ChainForm, QuadraticForm, check_stability
 
 # shifts s^2 of the resolvent basis.  Delta's x and p blocks are
 # differences of V^{-1/2} and V^{1/2} at two forms that differ on the probe
@@ -113,7 +114,7 @@ class NormalModeTrajectory:
     A ProductState is O(N) vectors and its network's config, so the chain
     modes of its basis B exist only during that first read."""
 
-    def __init__(self, qf: QuadraticForm, state: GaussianState | ProductState):
+    def __init__(self, qf: ChainForm | QuadraticForm, state: GaussianState | ProductState):
         if state.n_modes != qf.dim:
             raise ValueError("state and potential dimensions differ")
         self.min_eigenvalue, self._modes = check_stability(qf), qf.modes
@@ -121,9 +122,9 @@ class NormalModeTrajectory:
         N = qf.dim
         # the rows of O at the probes and the sites the form couples them
         # to, and the initial mean in normal coordinates, from one product
-        sites = np.flatnonzero(np.any(qf.V[:2] != 0.0, axis=0))
-        R = np.zeros((sites.size + 2, N))
-        R[np.arange(sites.size), sites] = 1.0
+        sites = qf.coupled_sites
+        R = np.zeros((len(sites) + 2, N))
+        R[np.arange(len(sites)), sites] = 1.0
         R[-2:] = state.mean.reshape(2, N)
         rows = self._modes.left(R)
         self._site_rows, self._y0, self._pi0 = rows[:-2], rows[-2], rows[-1]

@@ -23,10 +23,12 @@ from chainsync import (
     symplectic_form,
     symplectic_spectrum,
 )
-from chainsync import trajectory
+from chainsync import cli, scenarios, trajectory
 from chainsync.dynamics import phase_map, product_state
 from chainsync.lattice import chain_normal_modes
-from chainsync.scenarios import PRESETS, _initial_state, _site_means, resolve_spec, simulate
+from chainsync.scenarios import (
+    PRESETS, _initial_state, _site_means, resolve_spec, simulate, sweep_plug_site
+)
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import (
@@ -604,14 +606,17 @@ def test_the_midpoint_leak_accepts_only_bases_the_exact_residual_accepts(preset,
         assert kept or shifts < 32
 
 
-def test_the_composite_eigensolve_holds_no_chain_mode_matrix(monkeypatch):
-    # set-up and means of fig5 at M = 2000 run no N x N eigensolve, and
-    # the potential V is the one N x N array alive: the chain's M x M
-    # modes and the composite modes O are never formed (each would add
-    # N^2 doubles), as the secular solves work a chunk of roots at a time
-    spec = resolve_spec("fig5_entanglement_common", {"M": 2000, "horizon": 40.0})
+@pytest.mark.parametrize("path", ["validate", "site_means", "simulate", "sweep"])
+def test_the_composite_eigensolve_holds_no_chain_mode_matrix(path, monkeypatch, tmp_path):
+    # set-up, means, covariances and a sweep at M = 2000 run no N x N
+    # eigensolve and form no N x N array: not the potential V, which only
+    # an oracle forms, nor the chain's M x M modes or the composite modes
+    # O (each N^2 doubles), as the secular solves work a chunk of roots
+    # at a time
+    overrides = {"M": 2000, "horizon": 40.0}
+    spec = resolve_spec("fig5_entanglement_common", overrides)
     N = spec.network.M + 2
-    shapes = []
+    shapes, forms = [], []
 
     def spy(fn):
         def spied(a, *args, **kwargs):
@@ -620,18 +625,33 @@ def test_the_composite_eigensolve_holds_no_chain_mode_matrix(monkeypatch):
 
         return spied
 
+    def assemble(network, probes):
+        forms.append(assemble_full_potential(network, probes))
+        return forms[-1]
+
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    for module in (cli, scenarios):
+        monkeypatch.setattr(module, "assemble_full_potential", assemble)
     tracemalloc.start()
     try:
-        X = _site_means(spec, _initial_state(spec))[2]
+        if path == "validate":
+            sets = [f"--set={k}={v}" for k, v in {"preset": spec.preset, **overrides}.items()]
+            assert cli.main(["validate", *sets]) == 0
+        elif path == "site_means":
+            assert np.all(np.isfinite(_site_means(spec, _initial_state(spec))[2]))
+        elif path == "simulate":
+            assert np.all(np.isfinite(simulate(spec).var_x1))
+        else:
+            sweep_plug_site(resolve_spec("appB_sweep", overrides), sites=[1, 2], out_dir=tmp_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert shapes == []
-    assert np.all(np.isfinite(X))
+    assert len(forms) == (2 if path == "sweep" else 1)
+    assert all("V" not in vars(qf) for qf in forms)
     ratio = peak / (8 * N * N)
-    assert ratio <= 1.5, f"peak {ratio:.2f} N^2 doubles"
+    assert ratio <= 0.75, f"peak {ratio:.2f} N^2 doubles"
 
 
 def test_a_mixed_state_takes_the_whole_space_and_stays_exact():

@@ -212,3 +212,29 @@ def _module_level_numpy_calls(path):
 def test_importing_the_package_does_no_array_work():
     calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in _module_level_numpy_calls(path)]
     assert [c for c in calls if not c.endswith("np.finfo")] == []
+
+
+_RUN_PATHS = """
+import json, sys, tempfile
+import chainsync
+from chainsync import resolve_spec, run_scenario, sweep_plug_site
+from chainsync.cli import main
+before = set(sys.modules)
+out = tempfile.mkdtemp()
+# a horizon past its plateau band's start, so the run takes its medians
+run_scenario(resolve_spec("fig2_dissipation", {"M": 40, "horizon": 60.0}), out_dir=out + "/run")
+sweep_plug_site(resolve_spec("appB_sweep", {"M": 40, "horizon": 60.0}), sites=[1, 2],
+                out_dir=out + "/sweep")
+assert main(["validate", "--set", "preset=fig2_dissipation", "--set", "M=40"]) == 0
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+# numpy loads some modules on first use (numpy.ma, 11 ms, from np.median);
+# a run, a sweep and ``cli validate`` pay for none of them
+def test_the_run_paths_load_no_further_numpy_module():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", _RUN_PATHS], capture_output=True, text=True,
+                          env=env, check=True)
+    added = json.loads(done.stdout.splitlines()[-1])
+    assert [m for m in added if m.partition(".")[0] == "numpy"] == []

@@ -6,6 +6,7 @@ import pytest
 from chainsync import (
     InstabilityError,
     NetworkConfig,
+    NormalModeTrajectory,
     ProbePair,
     QuadraticForm,
     ZeroModeError,
@@ -279,7 +280,17 @@ def test_validate_sites_rejects_fractional_sites():
     # assembly validates first, so no numpy IndexError escapes
     with pytest.raises(ValueError, match="whole number"):
         assemble_full_potential(NetworkConfig(M=6, omega0=0.4, g=1.2), probes)
-    ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=1.0, site_n=6).validate_sites(6)
+    # a whole-number site of any type indexes as an int, through the engine
+    net = NetworkConfig(M=6, omega0=0.4, g=1.2)
+    vac = (squeezed_vacuum_local(1.0, 0.0), squeezed_vacuum_local(1.1, 0.0))
+    for site in (1.0, np.int64(3)):
+        probes = ProbePair(omega2=1.1, lam=0.5, K=0.2, site_m=site, site_n=6)
+        probes.validate_sites(6)
+        assert type(probes.site_m) is int and probes.site_m == site
+        qf = assemble_full_potential(net, probes)
+        engine = NormalModeTrajectory(qf, product_state(((0.1, 0.0), (1.0, 0.0)), vac, net))
+        assert qf.coupled_sites == [0, 1, 1 + int(site), 7]
+        assert np.all(np.isfinite(engine.mean_series(np.arange(3.0))[0]))
 
 
 def test_a_mode_pair_is_no_chain_input():
@@ -323,22 +334,20 @@ def test_a_custom_network_is_diagonalized_once_per_config(monkeypatch):
     assert calls == [(M, M)] * 2
 
 
-def test_assembly_holds_one_n_by_n_array():
-    # the chain block is written into V in place, and an exactly symmetric
-    # V is kept without a copy: the chain's M x M temporaries and the
-    # symmetrizing copy read 3.98 N^2 doubles at M = 400
+def test_assembly_allocates_no_n_by_n_array():
+    # the assembled form is its network and probes; V is formed only when
+    # an oracle reads it, so assembly allocates no N x N array (1.3 MB here)
     cfg = NetworkConfig(M=400, omega0=0.4, g=1.2)
     probes = ProbePair(omega2=1.2, lam=0.0, K=0.8, site_m=1, site_n=1)
-    N = cfg.M + 2
     tracemalloc.start()
     try:
         qf = assemble_full_potential(cfg, probes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(qf.V, qf.V.T)
-    ratio = peak / (8 * N * N)
-    assert ratio <= 1.5, f"peak {ratio:.2f} N^2 doubles"
+    assert "V" not in vars(qf)
+    assert peak < 64 * 1024, f"peak {peak} bytes"
+    assert np.array_equal(qf.V, qf.V.T) and qf.V.shape == (qf.dim, qf.dim)
 
 
 def test_quadratic_form_keeps_a_symmetric_matrix_and_symmetrizes_any_other():

@@ -225,8 +225,14 @@ def assembled(M, omega0, g, **probes):
 @example({"M": 38, "omega0": 0.044515271606897916, "g": 1.658321551956398e-09,
           "omega1": 0.11033821093538952, "omega2": 0.023103221794292743, "lam": 0.0,
           "K": 0.13937026431343086, "site_m": 36, "site_n": 12, "sign2": 1})
+# no coupling and a repulsive second probe, both on one site: -lambda and
+# sign2 K are -0.0, and no plug site is coupled
+@example({"M": 12, "omega0": 0.4, "g": 1.2, "omega1": 1.0, "omega2": 1.1, "lam": 0.0,
+          "K": 0.0, "site_m": 5, "site_n": 5, "sign2": -1})
 def test_assembled_forms_match_eigvalsh_and_check_stability_by_it(params):
     qf = assembled(**params)
+    # the engine's coupled sites, read off the probes, are those V couples
+    assert qf.coupled_sites == QuadraticForm(qf.V).coupled_sites
     ev = np.linalg.eigvalsh(qf.V)
     top = np.max(np.abs(ev))
     assert np.max(np.abs(qf.modes.values - ev)) <= 1e-12 * top
