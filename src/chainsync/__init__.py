@@ -29,7 +29,6 @@ from .errors import (
 from .lattice import (
     NetworkConfig,
     ProbePair,
-    QuadraticForm,
     assemble_full_potential,
     build_chain_potential,
     chain_dispersion,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UncertaintyViolation
-from .lattice import ChainForm, NetworkConfig, QuadraticForm, chain_normal_modes, check_stability
+from .lattice import ChainForm, NetworkConfig, chain_normal_modes, check_stability
 
 # time rows per block of ``phasor_sum_blocks``: one exact start phasor and
 # one slice of the cached table exp(i nu k h) per block
@@ -304,18 +304,19 @@ def phase_map(rows, nu, z):
     return out
 
 
-def propagator(qf: ChainForm | QuadraticForm, t: float) -> SymplecticMap:
+def propagator(qf: ChainForm, t: float) -> SymplecticMap:
     """Exact phase-space propagator of H = p^T p / 2 + x^T V x / 2 for a
-    stable form (an unstable one raises InstabilityError).
+    stable form: ``check_stability`` reads the form's own modes, as the
+    engine does, and an unstable form raises InstabilityError.
 
-    Diagonalizes V once with a dense ``eigh`` (a ``ChainForm`` forms its
-    V for it), so it stays an independent check of the engine, and
-    rotates the per-mode solution back to the site basis; the result
+    Diagonalizes the form's dense V (formed on first read) with one
+    ``eigh``, so its dynamics stay an independent check of the engine,
+    and rotates the per-mode solution back to the site basis; the result
     satisfies S J S^T = J to round-off.
     """
-    bare = QuadraticForm(qf.V)
-    check_stability(bare)
-    nu, O = np.sqrt(bare.modes.values), bare.modes.dense
+    check_stability(qf)
+    values, O = np.linalg.eigh(qf.V)
+    nu = np.sqrt(values)
     D = phase_map(O, nu, np.exp(1j * (nu * t)))
     N = qf.dim
     return SymplecticMap(np.hstack([D[:, :N] @ O.T, D[:, N:] @ O.T]))
@@ -336,7 +337,7 @@ def reduce(state: GaussianState, modes) -> GaussianState:
     return GaussianState(state.mean[sel], state.cov[np.ix_(sel, sel)])
 
 
-def mean_energy(state: GaussianState, qf: ChainForm | QuadraticForm) -> float:
+def mean_energy(state: GaussianState, qf: ChainForm) -> float:
     """<H> = kinetic + potential, from both moments."""
     n = state.n_modes
     mx, mp = state.mean[:n], state.mean[n:]

@@ -11,9 +11,10 @@ frequency Omega_0 and stiffness g has the exact dispersion
 diagonalized by the orthogonal sine transform.
 
 ``assemble_full_potential`` returns a ``ChainForm``, the network and the
-probes alone: its modes come from the chain's closed-form modes, and its
-dense V is formed only when an oracle reads it.  ``QuadraticForm`` is a
-form given by a dense V, solved by one ``eigh``.
+probes alone, the package's one kind of form: its modes come from the
+chain's closed-form modes, and its dense V is formed only when an oracle
+reads it.  A form given by a dense V and solved by one ``eigh`` is a test
+oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ class NetworkConfig:
     coupling_matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.M, self.omega0, self.g))) or self.M % 1:
+            raise ValueError(f"M, omega0 and g must be finite and M whole, got {self}")
+        object.__setattr__(self, "M", int(self.M))
         if self.M < 2:
             raise ValueError(f"need at least two chain sites, got M={self.M}")
         if self.omega0 < 0:
@@ -95,6 +99,8 @@ class ProbePair:
     sign2: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega1, self.omega2, self.lam, self.K))):
+            raise ValueError(f"probe parameters must be finite, got {self}")
         if self.omega1 <= 0 or self.omega2 <= 0:
             raise ValueError("probe frequencies must be positive")
         if self.lam < 0:
@@ -110,39 +116,6 @@ class ProbePair:
         for name, site in (("site_m", self.site_m), ("site_n", self.site_n)):
             if site % 1 != 0 or not 1 <= site <= M:
                 raise ValueError(f"{name}={site} is not a whole number in [1, {M}]")
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """A quadratic form given by its dense symmetric potential matrix V,
-    the oracle the tests and ``dynamics.propagator`` check against.
-
-    An exactly symmetric float array is kept by reference, with no copy;
-    any other is replaced by its symmetric part.  ``modes`` is one dense
-    ``eigh`` (``DenseModes``).
-    """
-
-    V: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
-        object.__setattr__(self, "V", V if np.array_equal(V, V.T) else 0.5 * (V + V.T))
-
-    @property
-    def dim(self) -> int:
-        return self.V.shape[0]
-
-    @property
-    def coupled_sites(self) -> list:
-        """Rows 0 and 1 and every column their rows of V touch, ascending."""
-        return np.flatnonzero(np.any(self.V[:2] != 0.0, axis=0)).tolist()
-
-    @cached_property
-    def modes(self):
-        """Eigenvalues and eigenvectors of V, solved on first use and kept
-        on the form: ``check_stability`` reads its lowest eigenvalue and
-        every engine on the form its modes, so they share one solve."""
-        return DenseModes(*np.linalg.eigh(self.V))
 
 
 @dataclass(frozen=True)
@@ -273,13 +246,15 @@ def assemble_full_potential(cfg: NetworkConfig, probes: ProbePair) -> ChainForm:
     return ChainForm(cfg, probes)
 
 
-def check_stability(qf: ChainForm | QuadraticForm) -> float:
+def check_stability(qf: ChainForm) -> float:
     """Smallest eigenvalue of V, read off the form's modes ``qf.modes``
     (kept on the form, so the check and every engine on it share one
-    solve); raises InstabilityError when it is <= DEFAULT_STABILITY_TOL,
-    which separates genuine zero modes from round-off."""
+    solve); raises InstabilityError unless it is above
+    DEFAULT_STABILITY_TOL, which separates genuine zero modes from
+    round-off, so a nan eigenvalue raises too.  Any object with ``modes``
+    is checked the same way, as the tests' dense oracle form is."""
     min_eig = float(qf.modes.values[0])
-    if min_eig <= DEFAULT_STABILITY_TOL:
+    if not min_eig > DEFAULT_STABILITY_TOL:
         raise InstabilityError(min_eig, DEFAULT_STABILITY_TOL)
     return min_eig
 
@@ -417,7 +392,12 @@ class Arrowhead:
     """
 
     def __init__(self, alpha, z, d):
-        z, d = np.array(z, dtype=float), np.asarray(d, dtype=float)
+        z, d = np.asarray(z, dtype=float), np.asarray(d, dtype=float)
+        # solved in units of a power of two near the largest entry, as
+        # LAPACK's dstedc scales, so no norm or square overflows; every step
+        # is homogeneous, so only ``values`` carry the unit back
+        unit = math.frexp(max(abs(alpha), *(np.abs(v).max(initial=0.0) for v in (z, d))))[1]
+        alpha, z, d = math.ldexp(alpha, -unit), np.ldexp(z, -unit), np.ldexp(d, -unit)
         tol = 8.0 * _EPS * max(abs(alpha), np.abs(d).max(initial=0.0), np.linalg.norm(z))
         # (a, c, s): coordinate a + 1 keeps the border r of a and a + 1
         self._turns = []
@@ -442,7 +422,7 @@ class Arrowhead:
             self._scale[roots] = 1.0 / np.sqrt(1.0 + C @ (self._zh * self._zh))
         values = np.concatenate([self._base + self._tau, d[self._dead - 1]])
         order = np.argsort(values, kind="stable")
-        self.values = values[order]
+        self.values = np.ldexp(values[order], unit)
         cols = np.empty_like(order)
         cols[order] = np.arange(order.size)
         self._root_cols, self._dead_cols = cols[: self._tau.size], cols[self._tau.size :]
@@ -514,23 +494,7 @@ def _to_local(Y, network: NetworkConfig):
     return Y
 
 
-class DenseModes:
-    """Eigenvalues ``values`` (ascending) and eigenvectors ``O`` of a form
-    from one dense ``eigh``."""
-
-    def __init__(self, values, O):
-        self.values, self.dense = values, O
-
-    def left(self, R):
-        """R O for rows R (k x N) in site coordinates."""
-        return np.asarray(R) @ self.dense
-
-    def local_product(self, U, network: NetworkConfig):
-        """B^T O U, B = diag(I_2, O_chain) the local basis of ``network``."""
-        return _to_local(self.dense @ U, network)
-
-
-class CompositeModes(DenseModes):
+class CompositeModes:
     """Normal modes of an assembled form from the chain's closed-form
     modes and two nested arrowheads, in O(N^2).
 

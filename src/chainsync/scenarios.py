@@ -494,7 +494,8 @@ def summarize(spec: ScenarioSpec, data: SimulationData) -> dict:
         "max_group_velocity": max_group_velocity(spec.network),
         "min_eigenvalue": data.min_eigenvalue,
         "covariance_basis": data.covariance_basis,
-        "covariance_leak": data.covariance_leak,
+        # a round-off-level norm, printed at the two digits it carries
+        "covariance_leak": f"{data.covariance_leak:.1e}",
         "plateau_band_lo": lo,
         "plateau_band_hi": hi,
         "c_means_plateau": _nanmedian(data.sync_means.in_band(lo, hi)),

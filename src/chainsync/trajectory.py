@@ -58,7 +58,7 @@ import numpy as np
 from .dynamics import (
     GaussianState, ProductState, phase_map, phasor_sum_blocks, phasor_sums, symmetrize
 )
-from .lattice import ChainForm, QuadraticForm, check_stability
+from .lattice import ChainForm, check_stability
 
 # shifts s^2 of the resolvent basis.  Delta's x and p blocks are
 # differences of V^{-1/2} and V^{1/2} at two forms that differ on the probe
@@ -114,7 +114,7 @@ class NormalModeTrajectory:
     A ProductState is O(N) vectors and its network's config, so the chain
     modes of its basis B exist only during that first read."""
 
-    def __init__(self, qf: ChainForm | QuadraticForm, state: GaussianState | ProductState):
+    def __init__(self, qf: ChainForm, state: GaussianState | ProductState):
         if state.n_modes != qf.dim:
             raise ValueError("state and potential dimensions differ")
         self.min_eigenvalue, self._modes = check_stability(qf), qf.modes

@@ -2,17 +2,23 @@
 checks that only tests apply to its results.
 
 They share no code with the package's closed-form propagation, which is
-what makes them independent cross-checks.
+what makes them independent cross-checks.  ``QuadraticForm`` is a form
+given by its dense V and solved by one ``eigh`` (``DenseModes``): the
+package's engine, stability check, propagator and energy take it as they
+take an assembled ``lattice.ChainForm``, so a test can run the engine on
+a dense spectrum or on a random stable form.
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from chainsync import (
     GaussianState,
     Kernels,
-    QuadraticForm,
+    NetworkConfig,
     RayleighReport,
     StepTooLarge,
     chain_normal_modes,
@@ -24,6 +30,56 @@ from chainsync import (
     vn_entropy,
 )
 from chainsync.dynamics import uniform_step
+from chainsync.lattice import _to_local
+
+
+@dataclass(frozen=True)
+class QuadraticForm:
+    """A quadratic form given by its dense symmetric potential matrix V,
+    the oracle the tests check the assembled forms against.
+
+    An exactly symmetric float array is kept by reference, with no copy;
+    any other is replaced by its symmetric part.  ``modes`` is one dense
+    ``eigh`` (``DenseModes``).
+    """
+
+    V: np.ndarray
+
+    def __post_init__(self):
+        V = np.asarray(self.V, dtype=float)
+        object.__setattr__(self, "V", V if np.array_equal(V, V.T) else 0.5 * (V + V.T))
+
+    @property
+    def dim(self) -> int:
+        return self.V.shape[0]
+
+    @property
+    def coupled_sites(self) -> list:
+        """Rows 0 and 1 and every column their rows of V touch, ascending."""
+        return np.flatnonzero(np.any(self.V[:2] != 0.0, axis=0)).tolist()
+
+    @cached_property
+    def modes(self):
+        """Eigenvalues and eigenvectors of V, solved on first use and kept
+        on the form: ``check_stability`` reads its lowest eigenvalue and
+        every engine on the form its modes, so they share one solve."""
+        return DenseModes(*np.linalg.eigh(self.V))
+
+
+class DenseModes:
+    """Eigenvalues ``values`` (ascending) and eigenvectors ``O`` of a form
+    from one dense ``eigh``."""
+
+    def __init__(self, values, O):
+        self.values, self.dense = values, O
+
+    def left(self, R):
+        """R O for rows R (k x N) in site coordinates."""
+        return np.asarray(R) @ self.dense
+
+    def local_product(self, U, network: NetworkConfig):
+        """B^T O U, B = diag(I_2, O_chain) the local basis of ``network``."""
+        return _to_local(self.dense @ U, network)
 
 
 def sine_mode_matrix(M: int) -> np.ndarray:

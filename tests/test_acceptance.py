@@ -13,7 +13,6 @@ from chainsync import (
     GaussianState,
     NetworkConfig,
     ProbePair,
-    QuadraticForm,
     assemble_full_potential,
     chain_normal_modes,
     chain_rayleigh_report,
@@ -42,7 +41,9 @@ from chainsync.modes import mode_rotation
 from chainsync.scenarios import _initial_state, _site_means
 from chainsync.trajectory import NormalModeTrajectory
 
-from oracles import dominant_frequency, rk4_reference, symplectic_defect, uncertainty_defect
+from oracles import (
+    QuadraticForm, dominant_frequency, rk4_reference, symplectic_defect, uncertainty_defect,
+)
 
 
 def report(num, name, ok, detail=""):

@@ -2,6 +2,7 @@
 the chain's closed-form modes) against one dense ``eigh`` of V."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from chainsync import (
     InstabilityError,
     NetworkConfig,
     NormalModeTrajectory,
-    QuadraticForm,
     assemble_full_potential,
     build_chain_potential,
     check_stability,
@@ -21,7 +21,7 @@ from chainsync import lattice
 from chainsync.lattice import Arrowhead, CompositeModes
 from chainsync.scenarios import PRESETS, _initial_state
 
-from oracles import basis_residual
+from oracles import QuadraticForm, basis_residual
 
 
 def ring(M):
@@ -130,6 +130,22 @@ def test_an_unstable_form_raises_with_the_eigvalsh_minimum():
     assert abs(err.value.min_eigenvalue - expected[0]) <= 1e-12 * np.max(np.abs(expected))
     with pytest.raises(InstabilityError):
         NormalModeTrajectory(qf, _initial_state(spec))
+
+
+@pytest.mark.parametrize("M", [2, 40])
+@pytest.mark.parametrize("K", [1e100, 1e200, 1e300])
+def test_a_huge_coupling_reads_unstable_without_a_warning(K, M):
+    # the border's norm overflowed to inf from K ~ 1e155 on, so every
+    # border was deflated and the form read decoupled and stable
+    spec = resolve_spec("fig5_entanglement_common", {"M": M})
+    qf = assemble_full_potential(spec.network, dataclasses.replace(spec.probes, K=K))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError) as err:
+            check_stability(qf)
+    ev = np.linalg.eigvalsh(qf.V)
+    assert err.value.min_eigenvalue < 0
+    assert abs(err.value.min_eigenvalue - ev[0]) <= 1e-12 * np.max(np.abs(ev))
 
 
 @pytest.mark.parametrize("K", [1.1, 1.5])

@@ -10,7 +10,6 @@ from chainsync import (
     InstabilityError,
     NetworkConfig,
     ProbePair,
-    QuadraticForm,
     StepTooLarge,
     UncertaintyViolation,
     assemble_full_potential,
@@ -32,7 +31,7 @@ from chainsync.scenarios import (
 from chainsync.trajectory import NormalModeTrajectory
 
 from oracles import (
-    basis_residual, dense_covariance_series, direct_phasor_sums, rk4_reference,
+    QuadraticForm, basis_residual, dense_covariance_series, direct_phasor_sums, rk4_reference,
     symplectic_defect, uncertainty_defect,
 )
 

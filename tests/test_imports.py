@@ -238,3 +238,25 @@ def test_the_run_paths_load_no_further_numpy_module():
                           env=env, check=True)
     added = json.loads(done.stdout.splitlines()[-1])
     assert [m for m in added if m.partition(".")[0] == "numpy"] == []
+
+
+_PERFBENCH = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import engine_setup, oracle, tracing, workloads
+tracer = tracing.Tracer()
+tracer.install()
+tracer.uninstall()
+spec, qf, state, engine = engine_setup.build_engine("fig2_dissipation", {"M": 40})
+oracle.probe_state(qf, state, 1.0)
+"""
+
+
+# the benchmark in perfbench/ imports package names, wraps span targets by
+# name and runs the S-matrix oracle: a change that breaks any of them
+# fails here, not at benchmark time
+def test_the_benchmark_finds_every_name_it_uses():
+    perfbench = PACKAGE.parents[1] / "perfbench"
+    done = subprocess.run([sys.executable, "-c", _PERFBENCH, str(PACKAGE.parent), str(perfbench)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from chainsync import (
     NetworkConfig,
     NormalModeTrajectory,
     ProbePair,
-    QuadraticForm,
     ZeroModeError,
     assemble_full_potential,
     build_chain_potential,
@@ -23,7 +24,7 @@ from chainsync import (
 )
 from chainsync.dynamics import product_state
 
-from oracles import group_velocity_grid, sine_mode_matrix
+from oracles import QuadraticForm, group_velocity_grid, sine_mode_matrix
 
 
 def dispersion_oracle(M, omega0, g):
@@ -162,6 +163,9 @@ def test_instability_raised_for_overcritical_coupling():
     with pytest.raises(InstabilityError) as err:
         check_stability(QuadraticForm(V))
     assert err.value.min_eigenvalue < 0
+    # a nan minimum is no evidence of stability
+    with pytest.raises(InstabilityError):
+        check_stability(SimpleNamespace(modes=SimpleNamespace(values=np.array([math.nan]))))
 
 
 def test_custom_coupling_matrix_hook():
@@ -193,6 +197,10 @@ def test_custom_network_zero_mode_detected():
 def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(M=1, omega0=0.4, g=1.2)
+    # a whole-number M of any type is stored as an int, a fractional one raises
+    assert type(NetworkConfig(M=3.0, omega0=0.4, g=1.2).M) is int
+    with pytest.raises(ValueError, match="whole"):
+        NetworkConfig(M=3.5, omega0=0.4, g=1.2)
     with pytest.raises(ValueError):
         NetworkConfig(M=4, omega0=-0.1, g=1.2)
     with pytest.raises(ValueError):
@@ -205,6 +213,25 @@ def test_config_validation():
         ProbePair(omega2=1.1, lam=0.0, K=0.2, site_m=1, site_n=1, sign2=2)
     with pytest.raises(ValueError):
         ProbePair(omega2=1.1, lam=0.0, K=0.2, site_m=0, site_n=1).validate_sites(5)
+
+
+_VALID = {
+    NetworkConfig: dict(M=4, omega0=0.4, g=1.2),
+    ProbePair: dict(omega2=1.1, lam=0.5, K=0.2, site_m=1, site_n=2, omega1=1.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "cls, name",
+    [(NetworkConfig, "M"), (NetworkConfig, "omega0"), (NetworkConfig, "g"),
+     (ProbePair, "omega2"), (ProbePair, "lam"), (ProbePair, "K"), (ProbePair, "omega1")],
+)
+def test_non_finite_parameters_are_rejected(cls, name, value):
+    # a nan K once failed |z| > tol and was deflated as zero: the run
+    # returned the K = 0 answer
+    with pytest.raises(ValueError, match="finite"):
+        cls(**dict(_VALID[cls], **{name: value}))
 
 
 def test_revival_and_group_velocity():

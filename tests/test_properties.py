@@ -18,7 +18,6 @@ from chainsync import (
     NetworkConfig,
     NormalModeTrajectory,
     ProbePair,
-    QuadraticForm,
     assemble_full_potential,
     check_stability,
     evolve,
@@ -34,7 +33,7 @@ from chainsync.errors import ConfigError, RangeError
 from chainsync.lattice import DEFAULT_STABILITY_TOL
 from chainsync.scenarios import KEY_SPECS, PRESETS, read_config
 
-from oracles import symplectic_defect
+from oracles import QuadraticForm, symplectic_defect
 
 FAST = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -179,6 +178,9 @@ _RUN_SETTINGS = {
 )
 # a chain whose lowest mode has Omega ~ 1e-150 (exit 3, like validate)
 @example("custom", "4", "40.0", {"omega0": "0.0", "g": "1e-300"})
+# a coupling whose border norm overflowed, so the form read decoupled and
+# stable (exit 3)
+@example("fig5_entanglement_common", "2", "20.0", {"K": "1e200"})
 def test_run_set_fuzz_exits_with_a_documented_code(preset, M, horizon, settings_):
     sets = {"preset": preset, "M": M, "horizon": horizon, **settings_}
     with tempfile.TemporaryDirectory() as tmp:
